@@ -101,18 +101,27 @@ def _topological_order(g):
 
 
 def path_matrix(g):
-    """Entry (i, j) = sum of path weights from source i to sink j."""
+    """Entry (i, j) = sum of path weights from source i to sink j.
+
+    Edges of weight exactly 1 pass ways[v] through unmultiplied (series are
+    immutable values); most walker-graph edges are such edges.
+    """
     order = _topological_order(g)
     zero = TruncatedSeries.zero(g.num_vars, g.cutoff)
+    one = TruncatedSeries.one(g.num_vars, g.cutoff)
+    steps = {
+        v: [(head, None if weight == one else weight) for head, weight in outs]
+        for v, outs in g.adjacency.items()
+    }
     matrix = []
     for a in g.sources:
-        ways = {a: TruncatedSeries.one(g.num_vars, g.cutoff)}
+        ways = {a: one}
         for v in order:
             wv = ways.get(v)
             if wv is None:
                 continue
-            for head, weight in g.adjacency.get(v, ()):
-                step = wv * weight
+            for head, weight in steps.get(v, ()):
+                step = wv if weight is None else wv * weight
                 ways[head] = ways[head] + step if head in ways else step
         matrix.append([ways.get(b, zero) for b in g.sinks])
     return matrix

@@ -6,6 +6,17 @@ determinant stops depending on N at any fixed series truncation. We detect
 that plateau by agreement of two consecutive sizes rather than guessing an
 a priori bound.
 
+Growing factorization: T_{N+1} borders T_N with one row and one column, so
+its Doolittle factors T_N = L_N U_N (L unit lower, U upper triangular) extend
+by one L row, one U column and one pivot u_{N+1}, and
+det T_{N+1} = det T_N * u_{N+1}. All sizes tried therefore share a single
+elimination. It needs no pivoting. Lemma: at q = 0 every symbol built here
+is 1 + z (all other factors reduce to 1), so G_0 = G_1 = 1 and G_m = 0
+otherwise mod q; T_N is then unit lower-bidiagonal mod q, every leading minor
+is 1 mod q, and each pivot u_N = minor_N / minor_{N-1} is a unit of the local
+ring. A symbol whose leading pivot is not a unit is
+rejected up front with StabilizationFailureError.
+
 Window bookkeeping: every factor except the single (1 + z) carries at least
 one unit of q-degree per unit of |z|-power, so z-exponents beyond D + 1 have
 identically zero coefficients at truncation D. Multiplying the lone lax
@@ -23,7 +34,6 @@ from .series import (
     TruncatedSeries,
     binomial_factor,
     product_over_k,
-    toeplitz_det,
 )
 
 
@@ -149,25 +159,69 @@ def prefactor_cn(n: int, cutoff: int) -> TruncatedSeries:
     return out
 
 
+def _toeplitz_pivots(f: LaurentSymbol, degree: int):
+    """Yield (N, u_N) for N = 1, 2, ...: the Doolittle pivots of the growing
+    sections T_N = [G_{i-j}] of f, computed modulo total degree > degree.
+
+    lower[i] holds row i of L below the diagonal and upper[j] column j of U
+    above it; a non-unit pivot raises StabilizationFailureError.
+    """
+    zero = TruncatedSeries.zero(f.num_vars, degree)
+    g = {m: c.truncate(degree) for m, c in f.coeffs.items()}
+
+    def residual(start, xs, ys):
+        """start - sum(x * y), skipping zero factors."""
+        acc = start
+        for x, y in zip(xs, ys):
+            if not x.is_zero() and not y.is_zero():
+                acc = acc - x * y
+        return acc
+
+    lower, upper, inverses = [], [], []
+    n = 0
+    while True:
+        col = []
+        for i in range(n):
+            col.append(residual(g.get(i - n, zero), lower[i], col))
+        row = []
+        for j in range(n):
+            row.append(residual(g.get(n - j, zero), row, upper[j]) * inverses[j])
+        pivot = residual(g.get(0, zero), row, col)
+        n += 1
+        if pivot.constant_term() not in (1, -1):
+            raise StabilizationFailureError(
+                f"Toeplitz section of size {n} has a pivot with constant term "
+                f"{pivot.constant_term()}, not a unit"
+            )
+        lower.append(row)
+        upper.append(col)
+        inverses.append(pivot.invert())
+        yield n, pivot
+
+
 def stabilized_toeplitz(f: LaurentSymbol, degree: int) -> MatrixModelResult:
     """Grow N from degree + 1 until two consecutive determinants agree modulo
     total degree `degree`; a run that reaches N = 4 * (degree + 2) without a
-    plateau raises StabilizationFailureError."""
+    plateau raises StabilizationFailureError.
+
+    One growing LU factorization supplies every size's determinant as the
+    running product of its pivots (see the module docstring)."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if f.cutoff < degree:
         raise ValueError("symbol truncated below the requested degree")
     cap = 4 * (degree + 2)
     history = {}
-    prev = None
-    size = degree + 1
-    while size <= cap:
-        det = toeplitz_det(f, size).truncate(degree)
+    det = TruncatedSeries.one(f.num_vars, degree)
+    for size, pivot in _toeplitz_pivots(f, degree):
+        det = det * pivot
+        if size <= degree:
+            continue
         history[size] = det
-        if prev is not None and det == prev:
+        if size - 1 in history and det == history[size - 1]:
             return MatrixModelResult(det, size - 1, history)
-        prev = det
-        size += 1
+        if size == cap:
+            break
     raise StabilizationFailureError(
         f"Toeplitz determinant did not stabilize by N = {cap}"
     )

@@ -2,8 +2,12 @@
 
 Everything downstream computes in Z[[q_0, ..., q_{L-1}]] / (total degree > D),
 with arbitrary-precision integer coefficients and no floating point. The ring
-has zero divisors (q^D * q == 0), which is why the determinant routine below
-is division-free.
+has zero divisors (q^D * q == 0), so general division is unavailable, but it
+is local: a series is a unit exactly when its constant term is +-1, and then
+its inverse is exact (TruncatedSeries.invert). Gaussian elimination that only
+ever pivots on such units is therefore exact and costs O(N^3) multiplies; the
+determinant routine below does that and leaves only a block without any unit
+pivot to the division-free Berkowitz recursion.
 """
 
 from __future__ import annotations
@@ -344,10 +348,13 @@ def symbol_coefficient(f: LaurentSymbol, n: int) -> TruncatedSeries:
 
 
 def det_division_free(matrix) -> TruncatedSeries:
-    """Determinant over the truncated ring by the Berkowitz recursion.
+    """Determinant over the truncated ring by unit-pivot Gaussian elimination.
 
-    Gaussian elimination needs exact division, which the quotient ring does
-    not support; Berkowitz uses only ring operations, at O(n^4) multiplies.
+    Each column takes as pivot the first remaining entry with constant term
+    +-1, a unit of the local ring, so elimination below it is exact. Once a
+    column has no unit left, the Schur complement block that remains goes to
+    the Berkowitz recursion, giving det = sign * prod(pivots) * det(rest).
+    Matrices whose pivots are all units cost O(n^3) multiplies.
     """
     n = len(matrix)
     if n == 0:
@@ -355,6 +362,34 @@ def det_division_free(matrix) -> TruncatedSeries:
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
+    rows = [list(row) for row in matrix]
+    det = rows[0][0].one_like()
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c].constant_term() in (1, -1)), None)
+        if p is None:
+            rest = [row[c:] for row in rows[c:]]
+            return det * _berkowitz(rest)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        pivot_row = rows[c]
+        pivot = pivot_row[c]
+        det = det * pivot
+        neg_inv = -pivot.invert()
+        for row in rows[c + 1 :]:
+            if row[c].is_zero():
+                continue
+            factor = row[c] * neg_inv
+            for j in range(c + 1, n):
+                if not pivot_row[j].is_zero():
+                    row[j] = row[j] + factor * pivot_row[j]
+    return det
+
+
+def _berkowitz(matrix) -> TruncatedSeries:
+    """Determinant by the Berkowitz recursion: ring operations only, O(n^4)
+    multiplies, exact for any square matrix over the truncated ring."""
+    n = len(matrix)
     one = matrix[0][0].one_like()
     zero = matrix[0][0].zero_like()
     # p holds the characteristic polynomial (of the leading minor) coefficients

@@ -113,6 +113,26 @@ def test_stabilized_toeplitz_history_records_the_plateau():
     assert res.history[sizes[-1]] == res.history[sizes[-2]] == res.value
 
 
+def test_growing_factorization_matches_per_size_determinants():
+    for d in (6, 8):
+        symbols = {"c3": c3_symbol(d)}
+        symbols.update({f"theta{n}": conifold_symbol(n, d) for n in (0, 1, 2)})
+        for name, f in symbols.items():
+            res = stabilized_toeplitz(f, d)
+            for size, det in res.history.items():
+                assert det == toeplitz_det(f, size).truncate(d), (name, d, size)
+
+
+def test_zero_leading_minor_is_rejected_with_its_size():
+    one = TruncatedSeries.one(1, 3)
+    # f = z: every section has a zero diagonal, singular from size 1 on
+    with pytest.raises(StabilizationFailureError, match="size 1 "):
+        stabilized_toeplitz(LaurentSymbol(1, 3, 4, {1: one}), 3)
+    # f = 1/z + 1 + z: T_1 = [1], but T_2 = [[1, 1], [1, 1]] is singular
+    with pytest.raises(StabilizationFailureError, match="size 2 "):
+        stabilized_toeplitz(LaurentSymbol(1, 3, 4, {-1: one, 0: one, 1: one}), 3)
+
+
 def test_stabilized_toeplitz_conifold_with_prefactor():
     d = 4
     for n in (0, 1):

@@ -11,11 +11,19 @@ from crystalmelt import (
     NotInvertibleError,
     TruncatedSeries,
     binomial_factor,
+    c3_chamber,
+    c3_symbol,
+    conifold_symbol,
+    conifold_theta,
     det_division_free,
+    path_matrix,
     product_over_k,
     symbol_coefficient,
     toeplitz_det,
+    walker_graph,
 )
+from crystalmelt import series as series_module
+from crystalmelt.series import _berkowitz
 
 
 def random_series(rng, num_vars, cutoff, max_terms=6, unit=False):
@@ -214,12 +222,64 @@ def cofactor_det(matrix):
     return total
 
 
-def test_det_division_free_matches_cofactor_expansion():
+def with_constant_term(rng, c, cutoff=4):
+    """Random one-variable series whose constant term is c."""
+    s = random_series(rng, 1, cutoff)
+    return s + TruncatedSeries.monomial(1, cutoff, (0,), c - s.constant_term())
+
+
+def stalling_constants(rng, n):
+    """Constant terms for an order-n matrix whose elimination stalls at a
+    random column k: the columns before k are unit upper-triangular mod q, so
+    eliminating them leaves the later constant terms as they are, and column k
+    holds only 0 or 2 from row k down, so it has no unit pivot."""
+    k = rng.randint(0, n - 1)
+    constants = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    for j in range(k):
+        constants[j][j] = rng.choice((1, -1))
+        for i in range(j + 1, n):
+            constants[i][j] = 0
+    for i in range(k, n):
+        constants[i][k] = rng.choice((0, 2))
+    return constants
+
+
+def test_det_division_free_matches_cofactor_expansion(monkeypatch):
     rng = random.Random(1234)
     for _ in range(40):
         n = rng.randint(1, 4)
         m = [[random_series(rng, 1, 4) for _ in range(n)] for _ in range(n)]
         assert det_division_free(m) == cofactor_det(m)
+    # constant terms drawn from units and non-units: pivots, row swaps, stalls
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        constants = [[rng.choice((-1, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+        m = [[with_constant_term(rng, c) for c in row] for row in constants]
+        assert det_division_free(m) == cofactor_det(m)
+    # no unit pivot in some column: the Berkowitz fallback finishes the block
+    fallbacks = []
+    berkowitz = series_module._berkowitz
+    monkeypatch.setattr(
+        series_module, "_berkowitz", lambda m: fallbacks.append(m) or berkowitz(m)
+    )
+    for n in (1, 2, 3, 4, 5, 5, 5):
+        m = [[with_constant_term(rng, c) for c in row] for row in stalling_constants(rng, n)]
+        before = len(fallbacks)
+        assert det_division_free(m) == cofactor_det(m)
+        assert len(fallbacks) == before + 1
+
+
+def test_det_division_free_matches_berkowitz_on_engine_matrices():
+    d = 6
+    symbols = [c3_symbol(d)] + [conifold_symbol(n, d) for n in (0, 1, 2)]
+    for f in symbols:
+        for size in range(1, d + 3):
+            m = [[f.coefficient(i - j) for j in range(size)] for i in range(size)]
+            assert toeplitz_det(f, size) == _berkowitz(m)
+    for spec, degree in ((c3_chamber(), 5), (conifold_theta(0), 4)):
+        for walkers in (degree, degree + 1):
+            m = path_matrix(walker_graph(spec, walkers, degree))
+            assert det_division_free(m) == _berkowitz(m)
 
 
 def test_det_transpose_invariance():
