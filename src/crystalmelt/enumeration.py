@@ -12,25 +12,34 @@ support of the chamber product, whose generators carry at most (2n+3)/3 boxes
 per unit of degree; hence the budget floor(D * (2n+3) / 3). A too-small
 budget would undercount and fail the cross-engine checks loudly, never agree
 falsely, and the widen-and-compare tests pin it empirically.
+
+Lookahead: every step has a componentwise-least successor of mu. Ascending,
+both relations only add boxes, so it is mu itself; descending "+" drops one box
+from every row (mu_i - 1); descending "-" reads mu_1 >= nu_1 >= mu_2 >= ..., so
+it is mu shifted up (mu_2, mu_3, ...). Every valid successor contains the least
+one, and the least-successor map is monotone under containment. By induction,
+if nu_t contains g_t then nu_{t+1} contains least(nu_t), which contains
+least(g_t) = g_{t+1}: every continuation of a state dominates the greedy chain
+g of least successors slice by slice. So it places at least the chain's boxes,
+and it can close on the empty partition only if the chain does (the step out of
+the window accepts () exactly when its least successor is ()). The chain is
+itself a valid continuation and never adds rows, so the bound is attained, also
+under max_rows: the sweep drops a state exactly when no configuration through
+it fits the budget, and the result is the same as without the lookahead. On an
+ascending step every successor contains mu, so mu's own bound also caps the
+size of the successors generated.
 """
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .chambers import chamber_weights, conifold_index, peak_slices, slice_rule
 from .errors import UnsupportedChamberError
 from .partitions import interlace_minus, interlace_plus
 from .series import TruncatedSeries
 
-
-class EvolutionState(NamedTuple):
-    """One DP frontier entry: partition at the current slice plus the boxes
-    already placed in each slice class (the exponent vector of the formal
-    class variables; the weight monomial is applied at the very end)."""
-
-    slice_index: int
-    current: tuple
-    accumulated: tuple
+# least-successor maps of one step (module docstring); _NEVER: cannot close
+_KEEP, _DROP, _SHIFT = 0, 1, 2
+_NEVER = float("inf")
 
 
 @lru_cache(maxsize=None)
@@ -119,6 +128,54 @@ def _succ_shrink_minus(mu):
     return sorted(seen)
 
 
+def _least_step(rule):
+    """Code of the least-successor map of one step (see the module docstring)."""
+    if rule.direction == "ascending":
+        return _KEEP
+    return _DROP if rule.relation == "plus" else _SHIFT
+
+
+def least_future(steps, i, lam, memo):
+    """Fewest boxes that any valid continuation of lam must still place.
+
+    lam sits at position i; steps[j] codes the least-successor map of the step
+    out of position j, and the step out of the last position must land on the
+    empty partition. The result sums the sizes along the greedy chain of least
+    successors after position i, or is infinite when that chain does not
+    close, in which case no continuation does. memo maps (position, partition)
+    to results and lives for one sweep; the chain is walked iteratively, so its
+    length is not limited by the recursion depth.
+    """
+    last = len(steps) - 1
+    chain = []
+    size = sum(lam)
+    while True:
+        if not lam:
+            total = 0
+            break
+        total = memo.get((i, lam))
+        if total is not None:
+            break
+        step = steps[i]
+        if step == _KEEP:
+            nxt, nxt_size = lam, size
+        elif step == _DROP:
+            nxt = tuple(x - 1 for x in lam if x > 1)
+            nxt_size = size - len(lam)
+        else:
+            nxt, nxt_size = lam[1:], size - lam[0]
+        if i == last:
+            total = 0 if not nxt else _NEVER
+            memo[(i, lam)] = total
+            break
+        chain.append((i, lam, nxt_size))
+        i, lam, size = i + 1, nxt, nxt_size
+    for j, mu, placed in reversed(chain):
+        total += placed
+        memo[(j, mu)] = total
+    return total
+
+
 def box_budget(spec, degree):
     """Box count that certifiably covers every monomial of total degree <= degree."""
     if all(w.is_genuine for w in chamber_weights(spec)):
@@ -142,54 +199,72 @@ def sweep_window(spec, degree, budget):
 def _sweep(spec, degree, budget, transposed, max_rows, window=None):
     L = spec.L
     lo, hi = window if window is not None else sweep_window(spec, degree, budget)
-
-    def rule_at(i):
-        r = slice_rule(spec, i)
-        return r.flipped() if transposed else r
-
-    frontier = {EvolutionState(lo - 1, (), (0,) * L): 1}
+    rules = []
+    for i in range(lo - 1, hi + 1):
+        rule = slice_rule(spec, i)
+        rules.append(rule.flipped() if transposed else rule)
+    # steps[j] leaves slice lo + j; the last one is the step out of the window
+    steps = [_least_step(rule) for rule in rules[1:]]
+    memo = {}
+    # frontier: partition at the current slice -> {class counts + (total,): count}
+    frontier = {(): {(0,) * (L + 1): 1}}
     for s in range(lo, hi + 1):
-        rule = rule_at(s - 1)
+        i = s - lo
+        rule = rules[i]
         ascending = rule.direction == "ascending"
         plus = rule.relation == "plus"
         cls = s % L
-        by_mu = {}
-        for state, count in frontier.items():
-            by_mu.setdefault(state.current, []).append((state.accumulated, count))
         new = {}
-        for mu, tabs in by_mu.items():
-            least_spent = min(sum(acc) for acc, _ in tabs)
+        rooms = {}  # successor -> most boxes its predecessors may have spent
+        for mu, tabs in frontier.items():
             if ascending:
-                cap = sum(mu) + budget - least_spent
+                # every successor contains mu, so its future is at least mu's
+                least_spent = min(acc[L] for acc in tabs)
+                cap = budget - least_spent - least_future(steps, i, mu, memo)
+                if cap < 0:
+                    continue
                 succs = _succ_grow_plus(mu, cap) if plus else _succ_grow_minus(mu, cap)
             else:
                 succs = _succ_shrink_plus(mu) if plus else _succ_shrink_minus(mu)
             for nu in succs:
                 if max_rows is not None and len(nu) > max_rows:
                     continue
+                room = rooms.get(nu)
+                if room is None:
+                    room = rooms[nu] = budget - sum(nu) - least_future(steps, i, nu, memo)
+                if room < 0:
+                    continue
                 boxes = sum(nu)
-                for acc, count in tabs:
-                    if sum(acc) + boxes > budget:
+                bucket = new.get(nu)
+                if bucket is None:
+                    bucket = new[nu] = {}
+                for acc, count in tabs.items():
+                    if acc[L] > room:
                         continue
-                    acc2 = list(acc)
-                    acc2[cls] += boxes
-                    key = EvolutionState(s, nu, tuple(acc2))
-                    new[key] = new.get(key, 0) + count
+                    if boxes:
+                        acc = list(acc)
+                        acc[cls] += boxes
+                        acc[L] += boxes
+                        acc = tuple(acc)
+                    bucket[acc] = bucket.get(acc, 0) + count
+                if not bucket:
+                    del new[nu]
         frontier = new
 
-    # the step out of the window must land on the empty partition
-    closing = rule_at(hi)
+    # the step out of the window must land on the empty partition; the
+    # lookahead already ensures it, this keeps the sum right for any bound
+    closing = rules[-1]
     rel = interlace_plus if closing.relation == "plus" else interlace_minus
     totals = {}
-    for state, count in frontier.items():
-        mu = state.current
+    for mu, tabs in frontier.items():
         if closing.direction == "ascending":
             ok = rel((), mu)
         else:
             ok = rel(mu, ())
         if ok:
-            acc = state.accumulated
-            totals[acc] = totals.get(acc, 0) + count
+            for acc, count in tabs.items():
+                key = acc[:L]
+                totals[key] = totals.get(key, 0) + count
     return totals
 
 

@@ -45,11 +45,22 @@ def chamber_to_json_dict(spec: ChamberSpec) -> dict:
 
 
 def chamber_from_json_dict(data: dict) -> ChamberSpec:
-    return ChamberSpec(
-        int(data["L"]),
-        tuple(int(r) for r in data["rho"]),
-        tuple(int(t) for t in data["theta"]),
-    )
+    """Inverse of chamber_to_json_dict: L an integer, rho and theta integer
+    lists. A missing or ill-typed field raises ValueError naming it."""
+    for field in ("L", "rho", "theta"):
+        if field not in data:
+            raise ValueError(f"chamber is missing the field {field!r}")
+    if not _is_int(data["L"]):
+        raise ValueError("chamber field 'L' must be an integer")
+    for field in ("rho", "theta"):
+        value = data[field]
+        if not isinstance(value, list) or not all(_is_int(v) for v in value):
+            raise ValueError(f"chamber field {field!r} must be a list of integers")
+    return ChamberSpec(data["L"], tuple(data["rho"]), tuple(data["theta"]))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def partition_to_json(lam) -> list:

@@ -113,6 +113,11 @@ def invalid_cases():
         ("lgv", "--geometry", "conifold", "--chamber", "2", "--degree", "2"),
         ("spectral", "--check", "mirror", "--q", "not-a-number"),
         ("spectral", "--check", "spp-identity", "--chamber", "0"),
+        ("enumerate", "--geometry", "general", "--chamber", '{"L": 2}', "--degree", "2"),
+        ("enumerate", "--geometry", "general",
+         "--chamber", '{"L": 2, "rho": 1, "theta": [1, 3]}', "--degree", "2"),
+        ("enumerate", "--geometry", "general",
+         "--chamber", '{"L": 2, "rho": [1, -1], "theta": null}', "--degree", "2"),
     ]
 
 

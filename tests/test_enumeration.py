@@ -1,5 +1,6 @@
 """Direct enumeration of partition evolutions across chambers."""
 
+import itertools
 import random
 
 import pytest
@@ -15,9 +16,12 @@ from crystalmelt import (
     enumerate_z,
     enumerate_z_rows,
     enumerate_z_transposed,
+    lgv_det,
     macmahon,
     sweep_window,
+    walker_graph,
 )
+from crystalmelt import enumeration
 from crystalmelt.enumeration import _enumerate
 from oracles import plane_partition_counts
 
@@ -105,19 +109,60 @@ def test_single_row_restriction_on_c3():
 
 def test_widening_budget_and_window_changes_nothing():
     rng = random.Random(12021)
-    for spec, d in ((c3_chamber(), 5), (conifold_theta(0), 4), (conifold_theta(1), 4)):
-        base = enumerate_z(spec, d)
+    cases = (
+        (c3_chamber(), 5),
+        (conifold_theta(0), 4),
+        (conifold_theta(1), 4),
+        (conifold_theta(2), 4),
+        (conifold_theta(2), 5),
+        (conifold_theta(3), 4),
+        (conifold_theta(3), 5),
+        # theta_n kept configurations use the whole budget at degree 3
+        (conifold_theta(2), 3),
+        (conifold_theta(3), 3),
+    )
+    for spec, d in cases:
         b = box_budget(spec, d)
         lo, hi = sweep_window(spec, d, b)
         extra = rng.randint(1, 3)
-        widened = _enumerate(
-            spec,
-            d,
-            transposed=False,
-            budget=b + extra,
-            window=(lo - extra * spec.L, hi + extra * spec.L),
-        )
-        assert widened == base, spec
+        for transposed, engine in ((False, enumerate_z), (True, enumerate_z_transposed)):
+            widened = _enumerate(
+                spec,
+                d,
+                transposed=transposed,
+                budget=b + extra,
+                window=(lo - extra * spec.L, hi + extra * spec.L),
+            )
+            assert widened == engine(spec, d), (spec, d, transposed)
+
+
+def test_window_longer_than_the_recursion_limit():
+    # the lookahead walks its chains of least successors without recursing
+    window = (-3000, 3000)
+    assert _enumerate(c3_chamber(), 3, transposed=False, window=window) == macmahon(3)
+
+
+def test_over_eager_lookahead_is_caught(monkeypatch):
+    # one box more than the true bound drops exactly the configurations that
+    # use the whole budget; c3 spends it at every degree, theta_2 at degree 3
+    true_bound = enumeration.least_future
+    monkeypatch.setattr(
+        enumeration, "least_future", lambda *args: true_bound(*args) + 1
+    )
+    assert enumerate_z(c3_chamber(), 6) != macmahon(6)
+    assert enumerate_z(conifold_theta(2), 3) != conifold_product(2, 3)
+
+
+def test_single_peak_general_chambers_agree_across_routes():
+    # identity theta with every sign vector: the chambers with genuine weights
+    # and one peak at L = 3, 4, outside the c3 and conifold families
+    d = 4
+    for L in (3, 4):
+        for rho in itertools.product((1, -1), repeat=L):
+            spec = ChamberSpec(L, rho, tuple(range(1, 2 * L, 2)))
+            z = enumerate_z(spec, d)
+            assert z == enumerate_z_transposed(spec, d), rho
+            assert z == lgv_det(walker_graph(spec, d, d)), rho
 
 
 def test_unsupported_laurent_chamber_raises():

@@ -82,8 +82,16 @@ def test_chamber_round_trip():
 def test_chamber_from_json_validates():
     with pytest.raises(ValueError):
         chamber_from_json_dict({"L": 2, "rho": [1, -1], "theta": [1, 7]})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="theta"):
         chamber_from_json_dict({"L": 2, "rho": [1, -1]})
+    with pytest.raises(ValueError, match="rho"):
+        chamber_from_json_dict({"L": 2})
+    with pytest.raises(ValueError, match="rho"):
+        chamber_from_json_dict({"L": 2, "rho": 1, "theta": [1, 3]})
+    with pytest.raises(ValueError, match="theta"):
+        chamber_from_json_dict({"L": 2, "rho": [1, -1], "theta": None})
+    with pytest.raises(ValueError, match="'L'"):
+        chamber_from_json_dict({"L": "2", "rho": [1, -1], "theta": [1, 3]})
 
 
 def test_partition_round_trip():
