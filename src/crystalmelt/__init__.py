@@ -85,7 +85,6 @@ from .series import (
     binomial_factor,
     det_division_free,
     product_over_k,
-    symbol_coefficient,
     toeplitz_det,
 )
 from .spectral import (
@@ -168,7 +167,6 @@ __all__ = [
     "spp_top_squared",
     "stabilized_toeplitz",
     "sweep_window",
-    "symbol_coefficient",
     "theta_inverse",
     "theta_value",
     "toeplitz_det",

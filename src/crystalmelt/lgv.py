@@ -17,6 +17,7 @@ non-intersecting sum.
 """
 
 from itertools import product as iter_product
+from operator import add, itemgetter
 
 from .chambers import chamber_weights, peak_slices, slice_rule
 from .errors import InvalidGraphError, OracleTooLargeError, UnsupportedChamberError
@@ -25,12 +26,13 @@ from .series import TruncatedSeries, det_division_free
 
 
 class WeightedDag:
-    """Directed acyclic graph with monomial edge weights and paired endpoints.
+    """Directed acyclic graph with series edge weights and paired endpoints.
 
     vertices are (t, h) integer pairs; edges is an iterable of (tail, head,
-    weight) with weight a TruncatedSeries (a single monomial or 1). sources
-    and sinks are equal-length sequences of vertices, pairwise distinct on
-    each side.
+    weight) with weight a TruncatedSeries. Walker graphs use a single monomial
+    or 1, which the bijection check relies on; path_matrix and lgv_det take
+    any series. sources and sinks are equal-length sequences of vertices,
+    pairwise distinct on each side.
     """
 
     __slots__ = ("num_vars", "cutoff", "adjacency", "vertices", "sources", "sinks")
@@ -103,27 +105,53 @@ def _topological_order(g):
 def path_matrix(g):
     """Entry (i, j) = sum of path weights from source i to sink j.
 
-    Edges of weight exactly 1 pass ways[v] through unmultiplied (series are
-    immutable values); most walker-graph edges are such edges.
+    ways[v] is the running path sum into v as a plain {exponents: coefficient}
+    dict, complete once the topological order reaches v and then added into
+    each head in place. An edge of weight exactly 1 merges ways[v] into the
+    head unmultiplied; any other edge multiplies by the weight's terms, taken
+    in ascending degree so each term of ways[v] stops at the first product
+    beyond the cutoff. Only the sink entries become series, through the
+    validating constructor, which also drops coefficients that cancelled.
     """
     order = _topological_order(g)
-    zero = TruncatedSeries.zero(g.num_vars, g.cutoff)
-    one = TruncatedSeries.one(g.num_vars, g.cutoff)
+    cutoff = g.cutoff
+    unit = {(0,) * g.num_vars: 1}
+
+    def by_degree(weight):
+        if weight.terms == unit:
+            return None
+        return sorted([(sum(e), e, c) for e, c in weight.terms.items()], key=itemgetter(0))
+
     steps = {
-        v: [(head, None if weight == one else weight) for head, weight in outs]
+        v: [(head, by_degree(weight)) for head, weight in outs]
         for v, outs in g.adjacency.items()
     }
     matrix = []
     for a in g.sources:
-        ways = {a: one}
+        ways = {a: dict(unit)}
         for v in order:
             wv = ways.get(v)
             if wv is None:
                 continue
             for head, weight in steps.get(v, ()):
-                step = wv if weight is None else wv * weight
-                ways[head] = ways[head] + step if head in ways else step
-        matrix.append([ways.get(b, zero) for b in g.sinks])
+                into = ways.get(head)
+                if weight is None:
+                    if into is None:
+                        ways[head] = dict(wv)
+                    else:
+                        for e, c in wv.items():
+                            into[e] = into.get(e, 0) + c
+                    continue
+                if into is None:
+                    into = ways[head] = {}
+                for e, c in wv.items():
+                    room = cutoff - sum(e)
+                    for dw, ew, cw in weight:
+                        if dw > room:
+                            break
+                        key = tuple(map(add, e, ew))
+                        into[key] = into.get(key, 0) + c * cw
+        matrix.append([TruncatedSeries(g.num_vars, cutoff, ways.get(b)) for b in g.sinks])
     return matrix
 
 
@@ -344,6 +372,7 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     ground = tuple(range(walkers))
     budget = degree
     visited = 0
+    moves = {}  # (x0, start) -> _gadget_moves, the same at every visit
 
     failures = []
 
@@ -420,7 +449,12 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
             return
         rule = slice_rule(spec, t)
         x0 = 2 * t
-        options = [_gadget_moves(g, rule, x0, h) for h in heights]
+        options = []
+        for h in heights:
+            got = moves.get((x0, h))
+            if got is None:
+                got = moves[x0, h] = _gadget_moves(g, rule, x0, h)
+            options.append(got)
         def pick(k, chosen_next, used, exp_acc):
             if k == walkers:
                 total = tuple(a + b for a, b in zip(spent, exp_acc))

@@ -8,13 +8,25 @@ its inverse is exact (TruncatedSeries.invert). Gaussian elimination that only
 ever pivots on such units is therefore exact and costs O(N^3) multiplies; the
 determinant routine below does that and leaves only a block without any unit
 pivot to the division-free Berkowitz recursion.
+
+Clean-terms invariant: a series stores only exponent tuples of length
+num_vars with non-negative entries and total degree <= cutoff, each with a
+non-zero coefficient. The public constructor validates and normalises its
+input to that form. Every ring operation (+, -, unary -, *, **, invert,
+truncate, substitute, binomial_factor) combines terms that are already clean,
+keeps only keys within the cutoff and drops coefficients that cancel, so it
+builds its result with the private TruncatedSeries._trusted, which stores the
+dict as given without checking it again.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import add, itemgetter
 
 from .errors import DimensionError, NonTerminatingProductError, NotInvertibleError
+
+_first = itemgetter(0)
 
 
 class TruncatedSeries:
@@ -45,6 +57,15 @@ class TruncatedSeries:
                 clean[exps] = clean.get(exps, 0) + coef
         self.terms = {e: c for e, c in clean.items() if c}
 
+    @classmethod
+    def _trusted(cls, num_vars: int, cutoff: int, terms: dict) -> "TruncatedSeries":
+        """Wrap terms that already satisfy the clean-terms invariant, unchecked."""
+        series = object.__new__(cls)
+        series.num_vars = num_vars
+        series.cutoff = cutoff
+        series.terms = terms
+        return series
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -61,10 +82,10 @@ class TruncatedSeries:
         return cls(num_vars, cutoff, {tuple(exps): coef})
 
     def one_like(self) -> "TruncatedSeries":
-        return TruncatedSeries.one(self.num_vars, self.cutoff)
+        return TruncatedSeries._trusted(self.num_vars, self.cutoff, {(0,) * self.num_vars: 1})
 
     def zero_like(self) -> "TruncatedSeries":
-        return TruncatedSeries.zero(self.num_vars, self.cutoff)
+        return TruncatedSeries._trusted(self.num_vars, self.cutoff, {})
 
     # -- ring operations -------------------------------------------------
 
@@ -81,38 +102,52 @@ class TruncatedSeries:
         self._check_compatible(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return TruncatedSeries(self.num_vars, self.cutoff, terms)
+            c += terms.get(e, 0)
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        return TruncatedSeries._trusted(self.num_vars, self.cutoff, terms)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self + (-other)
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            c = terms.get(e, 0) - c
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        return TruncatedSeries._trusted(self.num_vars, self.cutoff, terms)
 
     def __neg__(self):
-        return TruncatedSeries(
+        return TruncatedSeries._trusted(
             self.num_vars, self.cutoff, {e: -c for e, c in self.terms.items()}
         )
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TruncatedSeries(
-                self.num_vars, self.cutoff, {e: c * other for e, c in self.terms.items()}
-            )
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return TruncatedSeries._trusted(self.num_vars, self.cutoff, terms)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
         cutoff = self.cutoff
         out: dict = {}
-        a_items = [(e, sum(e), c) for e, c in self.terms.items()]
+        # ascending degree, so each inner loop stops at its first overflow
+        a_items = sorted([(sum(e), e, c) for e, c in self.terms.items()], key=_first)
         for eb, cb in other.terms.items():
-            db = sum(eb)
-            for ea, da, ca in a_items:
-                if da + db > cutoff:
-                    continue
-                key = tuple(x + y for x, y in zip(ea, eb))
+            room = cutoff - sum(eb)
+            for da, ea, ca in a_items:
+                if da > room:
+                    break
+                key = tuple(map(add, ea, eb))
                 out[key] = out.get(key, 0) + ca * cb
-        return TruncatedSeries(self.num_vars, cutoff, out)
+        return TruncatedSeries._trusted(
+            self.num_vars, cutoff, {e: c for e, c in out.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -162,7 +197,10 @@ class TruncatedSeries:
     def truncate(self, cutoff: int) -> "TruncatedSeries":
         if cutoff > self.cutoff:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.num_vars, cutoff, self.terms)
+        if cutoff < 0:
+            raise ValueError("cutoff must be >= 0")
+        terms = {e: c for e, c in self.terms.items() if sum(e) <= cutoff}
+        return TruncatedSeries._trusted(self.num_vars, cutoff, terms)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the cutoff; constant term must be +-1."""
@@ -182,11 +220,11 @@ class TruncatedSeries:
                     continue
                 for ea, ca in a_e.items():
                     for eb, cb in inv_parts.get(d - e, {}).items():
-                        key = tuple(x + y for x, y in zip(ea, eb))
+                        key = tuple(map(add, ea, eb))
                         acc[key] = acc.get(key, 0) + ca * cb
             inv_parts[d] = {e: -c0 * c for e, c in acc.items() if c}
         terms = {e: c for part in inv_parts.values() for e, c in part.items()}
-        return TruncatedSeries(self.num_vars, self.cutoff, terms)
+        return TruncatedSeries._trusted(self.num_vars, self.cutoff, terms)
 
     def substitute(self, images, num_vars_out: int) -> "TruncatedSeries":
         """Monomial substitution q_i -> q^images[i] into a ring with the same cutoff.
@@ -211,7 +249,9 @@ class TruncatedSeries:
             )
             if sum(key) <= self.cutoff:
                 out[key] = out.get(key, 0) + coef
-        return TruncatedSeries(num_vars_out, self.cutoff, out)
+        # distinct source terms can share an image and cancel there
+        terms = {e: c for e, c in out.items() if c}
+        return TruncatedSeries._trusted(num_vars_out, self.cutoff, terms)
 
 
 def binomial_factor(num_vars: int, cutoff: int, exps, exponent: int, sign: int = 1) -> TruncatedSeries:
@@ -226,6 +266,12 @@ def binomial_factor(num_vars: int, cutoff: int, exps, exponent: int, sign: int =
         raise ValueError("factor monomial must have total degree >= 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if len(exps) != num_vars:
+        raise ValueError(f"exponent vector {exps} has wrong length")
+    if any(e < 0 for e in exps):
+        raise ValueError(f"negative exponent in {exps}")
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     terms = {}
     j = 0
     while j * deg <= cutoff:
@@ -237,7 +283,8 @@ def binomial_factor(num_vars: int, cutoff: int, exps, exponent: int, sign: int =
             c = comb(-exponent + j - 1, j) * (-1) ** j
         terms[tuple(j * e for e in exps)] = c * sign**j
         j += 1
-    return TruncatedSeries(num_vars, cutoff, terms)
+    # every binomial coefficient kept here is non-zero and within the cutoff
+    return TruncatedSeries._trusted(num_vars, cutoff, terms)
 
 
 def product_over_k(factor, cutoff: int, max_factors: int = 4096) -> TruncatedSeries:
@@ -321,12 +368,6 @@ class LaurentSymbol:
                 out[p] = out[p] + c if p in out else c
         return LaurentSymbol(self.num_vars, self.cutoff, window, out)
 
-    def reflect(self) -> "LaurentSymbol":
-        """Swap z and 1/z; the Toeplitz matrix becomes its transpose."""
-        return LaurentSymbol(
-            self.num_vars, self.cutoff, self.window, {-m: s for m, s in self.coeffs.items()}
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, LaurentSymbol)
@@ -341,10 +382,6 @@ class LaurentSymbol:
         lo = min(self.coeffs, default=0)
         hi = max(self.coeffs, default=0)
         return f"LaurentSymbol(z^{lo}..z^{hi}, {self.num_vars} vars, cutoff {self.cutoff})"
-
-
-def symbol_coefficient(f: LaurentSymbol, n: int) -> TruncatedSeries:
-    return f.coefficient(n)
 
 
 def det_division_free(matrix) -> TruncatedSeries:

@@ -21,6 +21,7 @@ from crystalmelt import (
     walker_graph,
 )
 from crystalmelt import UnsupportedChamberError, WeightedDag
+from crystalmelt.lgv import _paths_between
 
 
 def w_monomial(i, cutoff=4):
@@ -105,6 +106,60 @@ def test_determinant_matches_bruteforce_on_random_dags():
         g = random_layered_dag(rng)
         assert lgv_det(g) == nonintersecting_bruteforce(g)
         checked += 1
+
+
+def signed_weight(rng, num_vars, cutoff):
+    """Edge weight: exactly 1, the constant -1, or a series of one to four
+    terms with coefficients of either sign, a constant term included or not."""
+    kind = rng.random()
+    if kind < 0.25:
+        return TruncatedSeries.one(num_vars, cutoff)
+    if kind < 0.4:
+        return -TruncatedSeries.one(num_vars, cutoff)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 2) for _ in range(num_vars))
+        terms[exps] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return TruncatedSeries(num_vars, cutoff, terms)
+
+
+def signed_layered_dag(rng):
+    """Layered DAG as in random_layered_dag (slopes 0 and +1, so vertex-disjoint
+    families keep their order) with signed multi-term weights, and sometimes a
+    pair of parallel edges of weights w and -w whose paths cancel."""
+    num_vars = rng.randint(1, 2)
+    cutoff = rng.randint(2, 6)
+    layers = rng.randint(2, 4)
+    rows = 4
+    edges = []
+    for layer in range(layers):
+        for r in range(rows):
+            for dr in (0, 1):
+                if r + dr >= rows or rng.random() < 0.3:
+                    continue
+                w = signed_weight(rng, num_vars, cutoff)
+                edges.append(((layer, r), (layer + 1, r + dr), w))
+                if rng.random() < 0.1:
+                    edges.append(((layer, r), (layer + 1, r + dr), -w))
+    n = rng.randint(1, 3)
+    sources = tuple((0, r) for r in sorted(rng.sample(range(rows), n)))
+    sinks = tuple((layers, r) for r in sorted(rng.sample(range(rows), n)))
+    return WeightedDag(num_vars, cutoff, edges, sources, sinks)
+
+
+def test_path_matrix_on_signed_multiterm_weights():
+    rng = random.Random(8128)
+    for _ in range(60):
+        g = signed_layered_dag(rng)
+        m = path_matrix(g)
+        zero = TruncatedSeries.zero(g.num_vars, g.cutoff)
+        for i, a in enumerate(g.sources):
+            for j, b in enumerate(g.sinks):
+                naive = sum((w for _, w in _paths_between(g, a, b)), zero)
+                entry = m[i][j]
+                assert entry == naive
+                assert entry == TruncatedSeries(g.num_vars, g.cutoff, entry.terms)
+        assert lgv_det(g) == nonintersecting_bruteforce(g)
 
 
 def test_graph_validation():

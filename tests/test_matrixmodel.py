@@ -17,7 +17,6 @@ from crystalmelt import (
     macmahon_two_var,
     prefactor_cn,
     stabilized_toeplitz,
-    symbol_coefficient,
     toeplitz_det,
 )
 from crystalmelt.matrixmodel import _linear, _symbol_inverse
@@ -26,11 +25,11 @@ from crystalmelt.matrixmodel import _linear, _symbol_inverse
 def test_c3_symbol_coefficient_exemplars():
     f1 = c3_symbol(1)
     # G_0 at degree 1: the z^0 part of (1+z)(1+qz)(1+q/z) is 1 + q
-    g0 = symbol_coefficient(f1, 0)
+    g0 = f1.coefficient(0)
     assert g0.terms == {(0,): 1, (1,): 1}
     f0 = c3_symbol(0)
-    assert symbol_coefficient(f0, 1).terms == {(0,): 1}
-    assert symbol_coefficient(f0, 2).is_zero()
+    assert f0.coefficient(1).terms == {(0,): 1}
+    assert f0.coefficient(2).is_zero()
 
 
 def test_c3_symbol_window():
