@@ -63,24 +63,6 @@ class WeightedDag:
     def n_paths(self):
         return len(self.sources)
 
-    def to_json_dict(self):
-        """Adjacency-list form for dumping graphs while debugging."""
-        edges = []
-        for tail in sorted(self.adjacency):
-            for head, weight in self.adjacency[tail]:
-                terms = sorted(weight.terms.items())
-                exp, coef = terms[0] if terms else ((0,) * self.num_vars, 0)
-                edges.append(
-                    {"from": list(tail), "to": list(head), "exp": list(exp), "coef": coef}
-                )
-        return {
-            "num_vars": self.num_vars,
-            "cutoff": self.cutoff,
-            "sources": [list(v) for v in self.sources],
-            "sinks": [list(v) for v in self.sinks],
-            "edges": edges,
-        }
-
 
 def _topological_order(g):
     indeg = {v: 0 for v in g.vertices}
@@ -353,6 +335,93 @@ def _gadget_moves(g, rule, x0, start):
     return out
 
 
+_NEVER = float("inf")
+
+
+def _least_drop_cost(drops, excess):
+    """Least total degree that dropping `excess` units of height still costs.
+
+    drops lists (cost per unit, most units) for every descending step still
+    ahead that has a drop edge, cheapest first; the unit cap is the number of
+    walkers on a "plus" step and infinite on a "minus" step. Filling
+    the cheapest steps first is the least cost of any way to spread the drops
+    over those steps; infinite when they cannot take them all.
+    """
+    total = 0
+    for cost, most in drops:
+        if excess <= most:
+            return total + excess * cost
+        total += most * cost
+        excess -= most
+    return _NEVER if excess else total
+
+
+def _heights_to_partition(heights):
+    lam = []
+    for k in range(len(heights) - 1, -1, -1):
+        part = heights[k] - k
+        if part < 0:
+            return None
+        lam.append(part)
+    return tuple(p for p in lam if p)
+
+
+def _family_verdict(rules, t_min, weights, profile, gadget_vertices, total_exp):
+    """The reason one family fails the round trip, or None when it passes.
+
+    rules[i] is the slice rule of step t_min + i, profile the heights at each
+    slice, gadget_vertices[i] the vertices the family uses beyond slice i and
+    total_exp its weight exponent vector.
+    """
+    walkers = len(profile[0])
+    L = len(weights)
+    # strict ordering and partition validity at each slice
+    lams = []
+    for heights in profile:
+        if any(heights[i] >= heights[i + 1] for i in range(walkers - 1)):
+            return "walker ordering violated"
+        lam = _heights_to_partition(heights)
+        if lam is None or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+            return "slice is not a partition"
+        lams.append(lam)
+    if lams[0] or lams[-1]:
+        return "configuration not empty at the window edge"
+    class_counts = [0] * L
+    for idx in range(len(lams) - 1):
+        t = t_min + idx
+        rule = rules[idx]
+        rel = interlace_plus if rule.relation == "plus" else interlace_minus
+        if rule.direction == "ascending":
+            ok = rel(lams[idx + 1], lams[idx])
+        else:
+            ok = rel(lams[idx], lams[idx + 1])
+        if not ok:
+            return "interlacing rule violated"
+        class_counts[(t + 1) % L] += sum(lams[idx + 1])
+    mapped = [0] * L
+    for cls in range(L):
+        for i in range(L):
+            mapped[i] += class_counts[cls] * weights[cls][i]
+    if tuple(mapped) != total_exp:
+        return "family weight disagrees with the configuration weight"
+    # rebuild the paths from the profile and compare vertex sets
+    for idx in range(len(profile) - 1):
+        rule = rules[idx]
+        x0 = 2 * (t_min + idx)
+        rebuilt = set()
+        for k in range(walkers):
+            h0, h1 = profile[idx][k], profile[idx + 1][k]
+            if rule.relation == "plus":
+                rebuilt.add((x0 + 2, h1))
+            else:
+                lo, hi = min(h0, h1), max(h0, h1)
+                rebuilt.update((x0 + 1, h) for h in range(lo, hi + 1))
+                rebuilt.add((x0 + 2, h1))
+        if rebuilt != gadget_vertices[idx]:
+            return "profile does not rebuild the original paths"
+    return None
+
+
 def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     """Round-trip every bounded non-intersecting family through the height
     profile: paths -> h_k(t) -> partitions lambda(t) -> paths again.
@@ -362,6 +431,44 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     ordering h_k < h_{k+1}, the empty boundary, and the weight accounting of
     enumerate_z. A failure returns a falsy diagnostic carrying the first
     offending family.
+
+    The families are listed by a depth-first search over the slices that
+    moves every walker across one step at a time and hands each family that
+    closes on the ground state (0, 1, ..., N-1) within the degree budget to
+    the per-family verdict. Two exact cuts keep it from exploring branches
+    that cannot get there; neither removes a family that can.
+
+    Lookahead lemma. Heights are strictly increasing and >= 0, so h_k >= k,
+    and the excess sum_k (h_k - k) at slice t is |lambda(t)|; at the ground
+    state it is 0. Heights rise only on ascending steps and fall only on
+    descending ones, so any continuation from slice t drops at least
+    |lambda(t)| units of height at descending steps t' >= t (more if it
+    rises again first). One unit dropped at t' crosses one edge of weight
+    run_monomial(peak, t'), of degree c(t') = sum_{u=peak..t'} deg w_u, and
+    that edge exists only when c(t') <= degree. The weights are genuine
+    (_single_peak), so each deg w_u >= 1: c(t') >= 1 and it never decreases
+    as t' grows, so the cheapest drop ahead, c_min(t), is the nearest one,
+    and no continuation can finish for less than |lambda(t)| * c_min(t). A
+    "plus" step moves each walker by at most one, so it takes at most N
+    units, and the bound used is the sharper greedy one: fill the cheapest
+    steps ahead first, N units per "plus" step, any number per "minus" step
+    (_least_drop_cost, infinite when the steps ahead cannot take them all).
+    Every edge weight is a monomial with non-negative exponents, so a
+    family's degree is its degree so far plus at least the cost of its drops
+    still ahead. A node whose degree so far plus the bound exceeds the budget
+    therefore has no family of degree <= degree below it, and it is not
+    entered. So the families that reach the verdict are exactly those the
+    unpruned search would reach: the budget and the ground state are still
+    checked in full at the last slice.
+
+    Early cut. The same genuine weights make every move's exponents
+    non-negative, so each walker's move adds its degree to the step's and
+    never takes any away: a partial set of moves whose degree already
+    exceeds the budget cannot complete into a family within it, and the
+    remaining walkers are not tried.
+
+    node_guard caps the number of nodes entered; past it the search raises
+    OracleTooLargeError.
     """
     g = walker_graph(spec, walkers, degree)
     peak = _single_peak(spec)
@@ -369,73 +476,29 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     weights = [w.exponents for w in chamber_weights(spec)]
     t_min = -(degree + 2) * L
     t_max = (degree + 2) * L
+    rules = [slice_rule(spec, t) for t in range(t_min, t_max)]
     ground = tuple(range(walkers))
+    ground_sum = sum(ground)
     budget = degree
     visited = 0
-    moves = {}  # (x0, start) -> _gadget_moves, the same at every visit
-
+    moves = {}  # (x0, start) -> moves with their degrees, the same at every visit
     failures = []
 
-    def heights_to_partition(heights):
-        lam = []
-        for k in range(walkers - 1, -1, -1):
-            part = heights[k] - k
-            if part < 0:
-                return None
-            lam.append(part)
-        return tuple(p for p in lam if p)
+    # ahead[i]: the drop steps at or after slice t_min + i, as _least_drop_cost takes them
+    unit_degrees = [sum(w) for w in weights]
+    drops = []
+    ahead = [()] * (t_max - t_min + 1)
+    for t in range(t_max - 1, t_min - 1, -1):
+        rule = rules[t - t_min]
+        if rule.direction == "descending":
+            cost = sum(unit_degrees[u % L] for u in range(peak, t + 1))
+            if cost <= degree:
+                drops.append((cost, walkers if rule.relation == "plus" else _NEVER))
+                drops.sort()
+        ahead[t - t_min] = tuple(drops)
+    least = {}  # (slice, excess) -> _least_drop_cost
 
-    def check_family(profile, gadget_vertices, total_exp):
-        # strict ordering and partition validity at each slice
-        lams = []
-        for heights in profile:
-            if any(heights[i] >= heights[i + 1] for i in range(walkers - 1)):
-                return "walker ordering violated"
-            lam = heights_to_partition(heights)
-            if lam is None or any(
-                lam[i] < lam[i + 1] for i in range(len(lam) - 1)
-            ):
-                return "slice is not a partition"
-            lams.append(lam)
-        if lams[0] or lams[-1]:
-            return "configuration not empty at the window edge"
-        class_counts = [0] * L
-        for idx in range(len(lams) - 1):
-            t = t_min + idx
-            rule = slice_rule(spec, t)
-            rel = interlace_plus if rule.relation == "plus" else interlace_minus
-            if rule.direction == "ascending":
-                ok = rel(lams[idx + 1], lams[idx])
-            else:
-                ok = rel(lams[idx], lams[idx + 1])
-            if not ok:
-                return "interlacing rule violated"
-            class_counts[(t + 1) % L] += sum(lams[idx + 1])
-        mapped = [0] * L
-        for cls in range(L):
-            for i in range(L):
-                mapped[i] += class_counts[cls] * weights[cls][i]
-        if tuple(mapped) != total_exp:
-            return "family weight disagrees with the configuration weight"
-        # rebuild the paths from the profile and compare vertex sets
-        for idx in range(len(profile) - 1):
-            t = t_min + idx
-            rule = slice_rule(spec, t)
-            x0 = 2 * t
-            rebuilt = set()
-            for k in range(walkers):
-                h0, h1 = profile[idx][k], profile[idx + 1][k]
-                if rule.relation == "plus":
-                    rebuilt.add((x0 + 2, h1))
-                else:
-                    lo, hi = min(h0, h1), max(h0, h1)
-                    rebuilt.update((x0 + 1, h) for h in range(lo, hi + 1))
-                    rebuilt.add((x0 + 2, h1))
-            if rebuilt != gadget_vertices[idx]:
-                return "profile does not rebuild the original paths"
-        return None
-
-    def advance(t, heights, spent, profile, gadget_vertices):
+    def advance(t, heights, spent, spent_deg, profile, gadget_vertices):
         nonlocal visited
         visited += 1
         if visited > node_guard:
@@ -443,42 +506,54 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
         if t == t_max:
             if heights != ground:
                 return
-            verdict = check_family(profile, gadget_vertices, spent)
+            verdict = _family_verdict(rules, t_min, weights, profile, gadget_vertices, spent)
             if verdict is not None:
                 failures.append((verdict, profile))
             return
-        rule = slice_rule(spec, t)
+        rule = rules[t - t_min]
         x0 = 2 * t
         options = []
         for h in heights:
             got = moves.get((x0, h))
             if got is None:
-                got = moves[x0, h] = _gadget_moves(g, rule, x0, h)
+                got = moves[x0, h] = [
+                    (h1, verts, exps, sum(exps))
+                    for h1, verts, exps in _gadget_moves(g, rule, x0, h)
+                ]
             options.append(got)
-        def pick(k, chosen_next, used, exp_acc):
+        room = budget - spent_deg
+        t1 = t + 1
+
+        def pick(k, chosen_next, used, exp_acc, deg_acc):
             if k == walkers:
-                total = tuple(a + b for a, b in zip(spent, exp_acc))
-                if sum(total) <= budget:
+                key = (t1, sum(chosen_next) - ground_sum)
+                need = least.get(key)
+                if need is None:
+                    need = least[key] = _least_drop_cost(ahead[t1 - t_min], key[1])
+                if deg_acc + need <= room:
                     advance(
-                        t + 1,
+                        t1,
                         tuple(chosen_next),
-                        total,
+                        tuple(a + b for a, b in zip(spent, exp_acc)),
+                        spent_deg + deg_acc,
                         profile + [tuple(chosen_next)],
                         gadget_vertices + [frozenset(used)],
                     )
                 return
-            for h1, verts, exps in options[k]:
-                if used & verts:
+            for h1, verts, exps, deg in options[k]:
+                if deg_acc + deg > room or used & verts:
                     continue
                 pick(
                     k + 1,
                     chosen_next + [h1],
                     used | verts,
                     tuple(a + b for a, b in zip(exp_acc, exps)),
+                    deg_acc + deg,
                 )
-        pick(0, [], frozenset(), (0,) * L)
 
-    advance(t_min, ground, (0,) * L, [ground], [])
+        pick(0, [], frozenset(), (0,) * L, 0)
+
+    advance(t_min, ground, (0,) * L, 0, [ground], [])
     if failures:
         return _BijectionFailure(failures[0])
     return True

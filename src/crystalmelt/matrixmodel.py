@@ -26,6 +26,7 @@ lossless.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .errors import NotInvertibleError, StabilizationFailureError
@@ -95,17 +96,54 @@ def _symbol_inverse(f: LaurentSymbol) -> LaurentSymbol:
     )
 
 
+def _times_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps, sign: int) -> dict:
+    """coeffs * (1 + sign * x^exps * z^zpow) as a shift-and-add, clipped to the
+    window like the symbol product; coeffs maps each z-power to a plain
+    {exponents: coefficient} dict and is not modified. Multiplies by 1 when
+    exps exceeds the cutoff, as _linear does."""
+    deg = sum(exps)
+    out = {m: dict(terms) for m, terms in coeffs.items()}
+    if deg > cutoff:
+        return out
+    room = cutoff - deg
+    for m, terms in coeffs.items():
+        p = m + zpow
+        if abs(p) > window:
+            continue
+        into = out.setdefault(p, {})
+        for e, c in terms.items():
+            if sum(e) > room:
+                continue
+            key = tuple(map(add, e, exps))
+            c = into.get(key, 0) + sign * c
+            if c:
+                into[key] = c
+            else:
+                del into[key]
+    return out
+
+
+def _to_symbol(num_vars: int, cutoff: int, window: int, coeffs: dict) -> LaurentSymbol:
+    return LaurentSymbol(
+        num_vars,
+        cutoff,
+        window,
+        {m: TruncatedSeries(num_vars, cutoff, terms) for m, terms in coeffs.items()},
+    )
+
+
 def c3_symbol(cutoff: int) -> LaurentSymbol:
     """Hopping weights for plane partitions: prod_k (1+z q^k)(1+z^-1 q^k), k >= 1,
-    times the lax factor (1 + z)."""
+    times the lax factor (1 + z). Each factor is applied as a shift-and-add."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     window = cutoff + 1
-    f = LaurentSymbol.identity(1, cutoff, window)
+    f = {0: {(0,): 1}}
     for k in range(1, cutoff + 1):
-        f = f * _linear(1, cutoff, window, 1, (k,), 1)
-        f = f * _linear(1, cutoff, window, -1, (k,), 1)
-    return f * _linear(1, cutoff, window, 1, (0,), 1)
+        f = _times_linear(f, cutoff, window, 1, (k,), 1)
+        f = _times_linear(f, cutoff, window, -1, (k,), 1)
+    f = _times_linear(f, cutoff, window, 1, (0,), 1)
+    return _to_symbol(1, cutoff, window, f)
 
 
 def conifold_symbol(n: int, cutoff: int) -> LaurentSymbol:
@@ -114,26 +152,31 @@ def conifold_symbol(n: int, cutoff: int) -> LaurentSymbol:
     Strict part: prod_k (1 + q0^k q1^k z)(1 + q0^k q1^k z^-1) over k >= 1,
     divided by prod_k (1 - q0^k q1^(k+1) z)(1 - q0^(k+1) q1^k z^-1) over
     k >= 0, then the n chamber factors (1 - q0^k q1^(k-1) z^-1), k = 1..n.
-    The division is realized by inverting the denominator symbol as a whole
-    (see _symbol_inverse); the lax (1 + z) comes last.
+    Every linear factor is applied as a shift-and-add; the division is
+    realized by inverting the denominator symbol as a whole (see
+    _symbol_inverse); the lax (1 + z) comes last.
     """
     if n < 0:
         raise ValueError("chamber index n must be >= 0")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     window = cutoff + 1
-    f = LaurentSymbol.identity(2, cutoff, window)
+    f = {0: {(0, 0): 1}}
     for k in range(1, cutoff // 2 + 1):
-        f = f * _linear(2, cutoff, window, 1, (k, k), 1)
-        f = f * _linear(2, cutoff, window, -1, (k, k), 1)
-    den = LaurentSymbol.identity(2, cutoff, window)
+        f = _times_linear(f, cutoff, window, 1, (k, k), 1)
+        f = _times_linear(f, cutoff, window, -1, (k, k), 1)
+    den = {0: {(0, 0): 1}}
     for k in range((cutoff + 1) // 2 + 1):
-        den = den * _linear(2, cutoff, window, 1, (k, k + 1), -1)
-        den = den * _linear(2, cutoff, window, -1, (k + 1, k), -1)
-    f = f * _symbol_inverse(den)
+        den = _times_linear(den, cutoff, window, 1, (k, k + 1), -1)
+        den = _times_linear(den, cutoff, window, -1, (k + 1, k), -1)
+    quotient = _to_symbol(2, cutoff, window, f) * _symbol_inverse(
+        _to_symbol(2, cutoff, window, den)
+    )
+    f = {m: dict(c.terms) for m, c in quotient.coeffs.items()}
     for k in range(1, n + 1):
-        f = f * _linear(2, cutoff, window, -1, (k, k - 1), -1)
-    return f * _linear(2, cutoff, window, 1, (0, 0), 1)
+        f = _times_linear(f, cutoff, window, -1, (k, k - 1), -1)
+    f = _times_linear(f, cutoff, window, 1, (0, 0), 1)
+    return _to_symbol(2, cutoff, window, f)
 
 
 def prefactor_cn(n: int, cutoff: int) -> TruncatedSeries:

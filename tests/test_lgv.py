@@ -20,7 +20,7 @@ from crystalmelt import (
     random_layered_dag,
     walker_graph,
 )
-from crystalmelt import UnsupportedChamberError, WeightedDag
+from crystalmelt import UnsupportedChamberError, WeightedDag, lgv
 from crystalmelt.lgv import _paths_between
 
 
@@ -225,8 +225,8 @@ def test_walker_graph_rejects_multi_peak_chambers():
 
 def test_profile_bijection_small_battery():
     for spec in (c3_chamber(), conifold_theta(0)):
-        for walkers in (1, 2):
-            for degree in (0, 1, 2):
+        for walkers in (1, 2, 3):
+            for degree in (0, 1, 2, 3):
                 assert profile_bijection_check(spec, walkers, degree), (
                     spec.L,
                     walkers,
@@ -234,11 +234,42 @@ def test_profile_bijection_small_battery():
                 )
 
 
-def test_graph_json_export_is_deterministic():
-    g, _ = junction_graph()
-    d1 = g.to_json_dict()
-    d2 = junction_graph()[0].to_json_dict()
-    assert d1 == d2
-    assert [tuple(e["from"]) for e in d1["edges"]] == sorted(
-        tuple(e["from"]) for e in d1["edges"]
-    )
+def test_profile_bijection_node_guard():
+    with pytest.raises(OracleTooLargeError):
+        profile_bijection_check(c3_chamber(), 3, 3, node_guard=10)
+
+
+def families_checked(monkeypatch):
+    """For c3 and theta_0, walkers 1-4 and degree 0-4: (case, families that
+    reach the per-family verdict, families the path determinant counts)."""
+    seen = []
+    verdict = lgv._family_verdict
+
+    def counting(*args):
+        seen.append(args)
+        return verdict(*args)
+
+    monkeypatch.setattr(lgv, "_family_verdict", counting)
+    out = []
+    for spec in (c3_chamber(), conifold_theta(0)):
+        for walkers in (1, 2, 3, 4):
+            for degree in range(5):
+                seen.clear()
+                assert profile_bijection_check(spec, walkers, degree)
+                # every family is a monomial of coefficient 1 and degree <= degree
+                total = sum(lgv_det(walker_graph(spec, walkers, degree)).terms.values())
+                out.append(((spec.L, walkers, degree), len(seen), total))
+    return out
+
+
+def test_pruned_bijection_check_reaches_every_family(monkeypatch):
+    for case, reached, total in families_checked(monkeypatch):
+        assert reached == total, case
+
+
+def test_over_eager_bijection_lookahead_is_caught(monkeypatch):
+    # one degree more than the true bound cuts the families that spend the
+    # whole budget, which the completeness count must notice
+    true_bound = lgv._least_drop_cost
+    monkeypatch.setattr(lgv, "_least_drop_cost", lambda *args: true_bound(*args) + 1)
+    assert any(reached < total for _, reached, total in families_checked(monkeypatch))

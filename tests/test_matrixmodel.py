@@ -38,6 +38,37 @@ def test_c3_symbol_window():
     assert all(abs(m) <= 5 for m in f.coeffs)
 
 
+def general_product_symbols(d):
+    """c3_symbol(d) and conifold_symbol(n, d), n = 0..3, rebuilt factor by
+    factor as general symbol products, in the same order."""
+    w = d + 1
+    f = LaurentSymbol.identity(1, d, w)
+    for k in range(1, d + 1):
+        f = f * _linear(1, d, w, 1, (k,), 1) * _linear(1, d, w, -1, (k,), 1)
+    c3 = f * _linear(1, d, w, 1, (0,), 1)
+    f = LaurentSymbol.identity(2, d, w)
+    for k in range(1, d // 2 + 1):
+        f = f * _linear(2, d, w, 1, (k, k), 1) * _linear(2, d, w, -1, (k, k), 1)
+    den = LaurentSymbol.identity(2, d, w)
+    for k in range((d + 1) // 2 + 1):
+        den = den * _linear(2, d, w, 1, (k, k + 1), -1) * _linear(2, d, w, -1, (k + 1, k), -1)
+    f = f * _symbol_inverse(den)
+    conifold = []
+    for n in range(4):
+        if n:
+            f = f * _linear(2, d, w, -1, (n, n - 1), -1)
+        conifold.append(f * _linear(2, d, w, 1, (0, 0), 1))
+    return c3, conifold
+
+
+def test_shift_and_add_symbols_match_general_products():
+    for d in range(13):
+        c3, conifold = general_product_symbols(d)
+        assert c3_symbol(d) == c3, d
+        for n, expected in enumerate(conifold):
+            assert conifold_symbol(n, d) == expected, (n, d)
+
+
 def test_symbol_inverse_is_two_sided_on_strict_symbols():
     rng = random.Random(2718)
     ident = LaurentSymbol.identity(2, 6, 7)
