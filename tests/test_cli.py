@@ -3,12 +3,15 @@
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
 from crystalmelt import StabilizationFailureError, TruncatedSeries
 from crystalmelt.cli import main
 import crystalmelt.cli as cli_module
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +210,14 @@ def test_verify_text_and_json(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert len(report["results"]) == 10
+
+
+def test_verify_json_golden(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--degree", "8", "--chamber", "2", "--format", "json"
+    )
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "verify_d8_n2.json").read_text(encoding="utf-8")
 
 
 def test_console_script_is_wired():
