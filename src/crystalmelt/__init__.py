@@ -20,7 +20,7 @@ from .chambers import (
     theta_inverse,
     theta_value,
 )
-from .cli import JobConfig, main, run_job
+from .cli import main
 from .enumeration import (
     box_budget,
     enumerate_z,
@@ -57,7 +57,6 @@ from .matrixmodel import (
 )
 from .partitions import (
     as_partition,
-    enumerate_partitions,
     interlace_minus,
     interlace_plus,
     size,
@@ -73,8 +72,6 @@ from .products import (
 from .serialize import (
     chamber_from_json_dict,
     chamber_to_json_dict,
-    partition_from_json,
-    partition_to_json,
     series_from_json_dict,
     series_to_json_dict,
     series_to_tsv,
@@ -108,7 +105,6 @@ __all__ = [
     "CurveParams",
     "DimensionError",
     "InvalidGraphError",
-    "JobConfig",
     "LaurentSymbol",
     "MatrixModelResult",
     "NonTerminatingProductError",
@@ -133,7 +129,6 @@ __all__ = [
     "conifold_symbol",
     "conifold_theta",
     "det_division_free",
-    "enumerate_partitions",
     "enumerate_z",
     "enumerate_z_rows",
     "enumerate_z_transposed",
@@ -145,8 +140,6 @@ __all__ = [
     "main",
     "mirror_map",
     "nonintersecting_bruteforce",
-    "partition_from_json",
-    "partition_to_json",
     "path_matrix",
     "peak_slices",
     "prefactor_cn",
@@ -154,7 +147,6 @@ __all__ = [
     "profile_bijection_check",
     "random_curve_params",
     "random_layered_dag",
-    "run_job",
     "s3_equivariance_check",
     "series_from_json_dict",
     "series_to_json_dict",

@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the computational engines plus the spectral
-checks and the verification battery. Reports are deterministic: term order,
+checks and the verification battery. --geometry only names the chamber (c3,
+the conifold chamber theta_n, or an explicit (L, rho, theta) object); the
+route each engine takes is chosen from the chamber itself by
+engines.engine_series, so a general chamber shaped like c3 or theta_n gets
+the same routes as the named geometry. Reports are deterministic: term order,
 key order, and whitespace are fixed, so byte-identical output means
 byte-identical results.
 
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .chambers import ChamberSpec, c3_chamber, conifold_index, conifold_theta
-from .enumeration import enumerate_z
+from .chambers import ChamberSpec, c3_chamber, conifold_theta
+from .engines import ENGINES, engine_series
 from .errors import (
     DimensionError,
     InvalidGraphError,
@@ -31,9 +35,6 @@ from .errors import (
     StabilizationFailureError,
     UnsupportedChamberError,
 )
-from .lgv import lgv_det, walker_graph
-from .matrixmodel import c3_symbol, conifold_symbol, prefactor_cn, stabilized_toeplitz
-from .products import conifold_product, macmahon
 from .serialize import (
     chamber_from_json_dict,
     chamber_to_json_dict,
@@ -50,8 +51,6 @@ from .spectral import (
     spp_limit_check,
 )
 from .verify import DEFAULT_SEED, verify_all
-
-ENGINES = ("enumerate", "product", "toeplitz", "lgv")
 
 _INVALID_INPUT = (
     UnsupportedChamberError,
@@ -76,7 +75,6 @@ class JobConfig:
     degree: int = 0
     engines: Tuple[str, ...] = ("enumerate",)
     output_format: str = "json"
-    seed: int = 0
 
     def __post_init__(self):
         if self.geometry not in ("c3", "conifold", "general"):
@@ -110,39 +108,13 @@ class JobConfig:
         return chamber_from_json_dict(self.chamber)
 
 
-def _engine_series(name, cfg: JobConfig, spec: ChamberSpec):
-    """Run one engine; returns (series, extras dict)."""
-    d = cfg.degree
-    if name == "enumerate":
-        return enumerate_z(spec, d), {}
-    if name == "product":
-        if cfg.geometry == "c3":
-            return macmahon(d), {}
-        n = conifold_index(spec)
-        if n is None:
-            raise UnsupportedChamberError("no closed product form is wired for this chamber")
-        return conifold_product(n, d), {}
-    if name == "toeplitz":
-        if cfg.geometry == "c3":
-            res = stabilized_toeplitz(c3_symbol(d), d)
-            return res.value, {"stabilized_at": res.stabilized_at}
-        n = conifold_index(spec)
-        if n is None:
-            raise UnsupportedChamberError("the determinant route is wired for c3 and conifold chambers")
-        res = stabilized_toeplitz(conifold_symbol(n, d), d)
-        return prefactor_cn(n, d) * res.value, {"stabilized_at": res.stabilized_at}
-    if name == "lgv":
-        return lgv_det(walker_graph(spec, max(d, 1), d)), {}
-    raise ValueError(f"unknown engine {name!r}")
-
-
 def run_job(cfg: JobConfig) -> dict:
     """Run the configured engines and compare their series pairwise."""
     spec = cfg.resolve_chamber()
     engines = {}
     series = {}
     for name in cfg.engines:
-        value, extras = _engine_series(name, cfg, spec)
+        value, extras = engine_series(name, spec, cfg.degree)
         series[name] = value
         entry = {"series": series_to_json_dict(value)}
         entry.update(extras)
@@ -163,7 +135,6 @@ def run_job(cfg: JobConfig) -> dict:
             "degree": cfg.degree,
             "engines": list(cfg.engines),
             "geometry": cfg.geometry,
-            "seed": cfg.seed,
         },
         "engines": engines,
         "pairwise": pairwise,
@@ -191,7 +162,6 @@ def _engine_command(args, default_engine: str) -> int:
         degree=args.degree,
         engines=engines,
         output_format=args.format,
-        seed=args.seed,
     )
     report = run_job(cfg)
     if cfg.output_format == "tsv":
@@ -319,7 +289,6 @@ def _add_engine_parser(sub, name: str, blurb: str):
     p.add_argument("--degree", type=int, default=6, help="truncation degree D")
     p.add_argument("--engines", help="comma list from {enumerate,product,toeplitz,lgv}, or 'all'")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report to this path instead of stdout")
     p.set_defaults(func=lambda args, default=name: _engine_command(args, default))
     return p

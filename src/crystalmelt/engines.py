@@ -1,0 +1,60 @@
+"""Which route computes which chamber.
+
+Every engine computes the same partition function Z_theta of a chamber
+(L, rho, theta); engine_series picks the engine's route by looking at the
+chamber itself, so a chamber gets the same routes however it was named on
+the command line. The command line runs every engine through here, and
+verify_all takes the product and Toeplitz values it checks from here.
+
+- enumerate: the slice sweep, for chambers with genuine weights and for the
+  conifold ladder theta_n (box_budget decides).
+- product: the MacMahon product for c3, the conifold chamber product for
+  theta_n.
+- toeplitz: the stabilized Toeplitz determinant of the c3 walker symbol, or
+  the theta_n symbol times its prefactor C_n.
+- lgv: the walker-path determinant, for single-peak chambers with genuine
+  weights (walker_graph decides).
+
+A chamber outside a route's reach raises UnsupportedChamberError.
+"""
+
+from .chambers import c3_chamber, conifold_index
+from .enumeration import enumerate_z
+from .errors import UnsupportedChamberError
+from .lgv import lgv_det, walker_graph
+from .matrixmodel import c3_symbol, conifold_symbol, prefactor_cn, stabilized_toeplitz
+from .products import conifold_product, macmahon
+
+ENGINES = ("enumerate", "product", "toeplitz", "lgv")
+
+
+def engine_series(name, spec, degree):
+    """Run one engine on one chamber to the given degree.
+
+    Returns (series, extras): extras holds what the route reports beyond
+    its series, which is the plateau size "stabilized_at" for toeplitz and
+    nothing otherwise.
+    """
+    if name == "enumerate":
+        return enumerate_z(spec, degree), {}
+    if name == "lgv":
+        return lgv_det(walker_graph(spec, max(degree, 1), degree)), {}
+    if name == "product":
+        if spec == c3_chamber():
+            return macmahon(degree), {}
+        n = conifold_index(spec)
+        if n is None:
+            raise UnsupportedChamberError("no closed product form is wired for this chamber")
+        return conifold_product(n, degree), {}
+    if name == "toeplitz":
+        if spec == c3_chamber():
+            res = stabilized_toeplitz(c3_symbol(degree), degree)
+            return res.value, {"stabilized_at": res.stabilized_at}
+        n = conifold_index(spec)
+        if n is None:
+            raise UnsupportedChamberError(
+                "the determinant route is wired for c3 and conifold chambers"
+            )
+        res = stabilized_toeplitz(conifold_symbol(n, degree), degree)
+        return prefactor_cn(n, degree) * res.value, {"stabilized_at": res.stabilized_at}
+    raise ValueError(f"unknown engine {name!r}")

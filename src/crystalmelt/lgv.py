@@ -232,14 +232,16 @@ def random_layered_dag(rng, cutoff=12):
 
 
 def _single_peak(spec):
+    """The chamber's one peak slice and its weight exponent vectors."""
     peaks = peak_slices(spec)
     if len(peaks) != 1:
         raise UnsupportedChamberError(
             "walker graphs need a chamber with a single ascending/descending turn"
         )
-    if not all(w.is_genuine for w in chamber_weights(spec)):
+    weights = chamber_weights(spec)
+    if not all(w.is_genuine for w in weights):
         raise UnsupportedChamberError("walker graphs need genuine weight monomials")
-    return peaks[0]
+    return peaks[0], [w.exponents for w in weights]
 
 
 def walker_graph(spec, walkers, degree):
@@ -253,13 +255,16 @@ def walker_graph(spec, walkers, degree):
     that. Edges whose monomial exceeds the cutoff are omitted (their families
     could only contribute beyond the truncation).
     """
+    return _walker_graph(spec, walkers, degree, *_single_peak(spec))
+
+
+def _walker_graph(spec, walkers, degree, peak, weights):
+    """walker_graph, given the peak slice and weight exponents of _single_peak."""
     if walkers < 1:
         raise ValueError("need at least one walker")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    peak = _single_peak(spec)
     L = spec.L
-    weights = [w.exponents for w in chamber_weights(spec)]
     t_min = -(degree + 2) * L
     t_max = (degree + 2) * L
     hmax = walkers - 1 + degree
@@ -470,10 +475,9 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     node_guard caps the number of nodes entered; past it the search raises
     OracleTooLargeError.
     """
-    g = walker_graph(spec, walkers, degree)
-    peak = _single_peak(spec)
+    peak, weights = _single_peak(spec)
+    g = _walker_graph(spec, walkers, degree, peak, weights)
     L = spec.L
-    weights = [w.exponents for w in chamber_weights(spec)]
     t_min = -(degree + 2) * L
     t_max = (degree + 2) * L
     rules = [slice_rule(spec, t) for t in range(t_min, t_max)]

@@ -51,15 +51,6 @@ class MatrixModelResult(NamedTuple):
     history: dict
 
 
-def _linear(num_vars: int, cutoff: int, window: int, zpow: int, exps, sign: int) -> LaurentSymbol:
-    """The symbol 1 + sign * x^exps * z^zpow (identity if exps exceeds the cutoff)."""
-    coeffs = {0: TruncatedSeries.one(num_vars, cutoff)}
-    mono = TruncatedSeries.monomial(num_vars, cutoff, exps, 1 if sign >= 0 else -1)
-    if not mono.is_zero():
-        coeffs[zpow] = mono
-    return LaurentSymbol(num_vars, cutoff, window, coeffs)
-
-
 def _symbol_inverse(f: LaurentSymbol) -> LaurentSymbol:
     """Invert a symbol whose z^0 series is a unit and whose off-center
     coefficients all vanish at q-degree zero.
@@ -100,7 +91,7 @@ def _times_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps, sign:
     """coeffs * (1 + sign * x^exps * z^zpow) as a shift-and-add, clipped to the
     window like the symbol product; coeffs maps each z-power to a plain
     {exponents: coefficient} dict and is not modified. Multiplies by 1 when
-    exps exceeds the cutoff, as _linear does."""
+    exps exceeds the cutoff, where the factor is 1 at this truncation."""
     deg = sum(exps)
     out = {m: dict(terms) for m, terms in coeffs.items()}
     if deg > cutoff:

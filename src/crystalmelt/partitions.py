@@ -46,27 +46,3 @@ def interlace_minus(lam, mu):
         if not l_i >= m_i >= l_next:
             return False
     return True
-
-
-def enumerate_partitions(max_size):
-    """All partitions of size <= max_size, ordered by (size, reverse lexicographic).
-
-    The per-size order puts the largest first part first, so fixtures like
-    enumerate_partitions(2) == [(), (1,), (2,), (1, 1)] are stable.
-    """
-    if max_size < 0:
-        raise ValueError("max_size must be >= 0")
-    out = []
-    for n in range(max_size + 1):
-        out.extend(_partitions_of(n, n))
-    return out
-
-
-def _partitions_of(n, max_part):
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return out

@@ -6,7 +6,6 @@ integers survive consumers that only have doubles.
 """
 
 from .chambers import ChamberSpec
-from .partitions import as_partition
 from .series import TruncatedSeries
 
 
@@ -61,11 +60,3 @@ def chamber_from_json_dict(data: dict) -> ChamberSpec:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def partition_to_json(lam) -> list:
-    return list(lam)
-
-
-def partition_from_json(data) -> tuple:
-    return as_partition(data)

@@ -3,14 +3,18 @@
 verify_all runs ten checks, each comparing two or more computational routes
 (direct enumeration, infinite products, stabilized Toeplitz determinants,
 walker-path determinants, spectral-curve algebra) coefficient by coefficient
-in exact arithmetic. Degrees scale down with Dmax and chamber indices with
-nmax so fast smoke runs stay cheap; the defaults run the full battery.
+in exact arithmetic. The production routes a check compares against (the
+products and the Toeplitz values) come from engines.engine_series, the same
+wiring the command line runs. Degrees scale down with Dmax and chamber
+indices with nmax so fast smoke runs stay cheap; the defaults run the full
+battery.
 """
 
 import random
 from typing import NamedTuple
 
 from .chambers import c3_chamber, conifold_theta
+from .engines import engine_series
 from .enumeration import enumerate_z, enumerate_z_transposed
 from .lgv import (
     WeightedDag,
@@ -20,8 +24,8 @@ from .lgv import (
     random_layered_dag,
     walker_graph,
 )
-from .matrixmodel import c3_symbol, conifold_symbol, prefactor_cn, stabilized_toeplitz
-from .products import conifold_product, macmahon, macmahon_two_var, wall_factor
+from .matrixmodel import conifold_symbol, prefactor_cn
+from .products import macmahon_two_var, wall_factor
 from .series import LaurentSymbol, TruncatedSeries
 from .spectral import (
     _spp_identity_sides,
@@ -85,7 +89,7 @@ def _cached_conifold(cache, n, Dmax):
 def _run_c3_enumeration(Dmax, nmax, fault, rng, cache):
     d = min(12, Dmax)
     lhs = _flip(_cached_c3(cache, Dmax).truncate(d), 1, fault)
-    bad = _series_mismatches(lhs, macmahon(d))
+    bad = _series_mismatches(lhs, engine_series("product", c3_chamber(), d)[0])
     for k in range(min(5, d) + 1):
         got = lhs.coefficient((k,))
         if got != MACMAHON_HEAD[k]:
@@ -105,21 +109,22 @@ def _run_conifold_enumeration(Dmax, nmax, fault, rng, cache):
         lhs = _cached_conifold(cache, n, Dmax).truncate(d)
         if n == ns[-1]:
             lhs = _flip(lhs, 2, fault)
-        bad += _series_mismatches(lhs, conifold_product(n, d), n=n)
+        bad += _series_mismatches(lhs, engine_series("product", conifold_theta(n), d)[0], n=n)
     detail = f"conifold enumeration to degree {d} equals the chamber product for n in {ns}"
     return CriterionResult("conifold-enumeration-vs-product", not bad, detail, bad)
 
 
 def _run_c3_toeplitz(Dmax, nmax, fault, rng, cache):
     d = min(8, Dmax)
-    res = stabilized_toeplitz(c3_symbol(d), d)
-    lhs = _flip(res.value, 3, fault)
-    bad = _series_mismatches(lhs, macmahon(d))
-    if res.stabilized_at > 40:
-        bad.append({"stabilized_at": res.stabilized_at, "bound": 40})
+    value, extras = engine_series("toeplitz", c3_chamber(), d)
+    stabilized_at = extras["stabilized_at"]
+    lhs = _flip(value, 3, fault)
+    bad = _series_mismatches(lhs, engine_series("product", c3_chamber(), d)[0])
+    if stabilized_at > 40:
+        bad.append({"stabilized_at": stabilized_at, "bound": 40})
     detail = (
         f"Toeplitz determinant of the single-walker symbol stabilizes at size "
-        f"{res.stabilized_at} and equals the MacMahon series to degree {d}"
+        f"{stabilized_at} and equals the MacMahon series to degree {d}"
     )
     return CriterionResult("c3-toeplitz-determinant", not bad, detail, bad)
 
@@ -172,8 +177,7 @@ def _run_conifold_toeplitz(Dmax, nmax, fault, rng, cache):
     d = min(8, Dmax)
     ns = list(range(min(2, nmax) + 1))
     for n in ns:
-        det = stabilized_toeplitz(conifold_symbol(n, d), d)
-        lhs = prefactor_cn(n, d) * det.value
+        lhs = engine_series("toeplitz", conifold_theta(n), d)[0]
         if n == ns[-1]:
             lhs = _flip(lhs, 4, fault)
         bad += _series_mismatches(lhs, _cached_conifold(cache, n, Dmax).truncate(d), n=n)
@@ -245,7 +249,7 @@ def _run_lgv_oracle(Dmax, nmax, fault, rng, cache):
 def _run_walker_graphs(Dmax, nmax, fault, rng, cache):
     bad = []
     d = min(5, Dmax)
-    target = macmahon(d)
+    target = engine_series("product", c3_chamber(), d)[0]
     for walkers in (max(d, 1), max(d, 1) + 1):
         det = lgv_det(walker_graph(c3_chamber(), walkers, d))
         bad += _series_mismatches(det, target, geometry="c3", walkers=walkers)
@@ -324,10 +328,10 @@ def _run_wall_crossing(Dmax, nmax, fault, rng, cache):
     ns = list(range(min(1, nmax - 1) + 1)) if nmax >= 1 else []
     bad = []
     for n in ns:
-        lhs = conifold_product(n + 1, d) * wall_factor(n + 1, d)
+        lhs = engine_series("product", conifold_theta(n + 1), d)[0] * wall_factor(n + 1, d)
         if n == ns[-1]:
             lhs = _flip(lhs, 10, fault)
-        bad += _series_mismatches(lhs, conifold_product(n, d), n=n)
+        bad += _series_mismatches(lhs, engine_series("product", conifold_theta(n), d)[0], n=n)
     detail = (
         f"multiplying back the wall factor recovers the neighboring chamber's "
         f"partition function to degree {d} for n in {ns}"

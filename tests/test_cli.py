@@ -9,7 +9,7 @@ import pytest
 
 from crystalmelt import StabilizationFailureError, TruncatedSeries
 from crystalmelt.cli import main
-import crystalmelt.cli as cli_module
+import crystalmelt.engines as engines_module
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -103,6 +103,37 @@ def test_general_geometry_accepts_chamber_json(capsys):
     assert report["config"]["chamber"] == {"L": 2, "rho": [1, -1], "theta": [1, 3]}
 
 
+def series_by_engine(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["agreement"] is True
+    return {name: entry["series"] for name, entry in report["engines"].items()}
+
+
+def test_general_geometry_gets_the_routes_of_its_shape(capsys):
+    c3 = series_by_engine(
+        capsys, "enumerate", "--geometry", "c3", "--degree", "5", "--engines", "all"
+    )
+    general = series_by_engine(
+        capsys, "enumerate", "--geometry", "general",
+        "--chamber", '{"L": 1, "rho": [1], "theta": [1]}',
+        "--degree", "5", "--engines", "all",
+    )
+    assert general == c3
+    for n in range(3):
+        theta = json.dumps({"L": 2, "rho": [1, -1], "theta": [1 - 2 * n, 3 + 2 * n]})
+        named = series_by_engine(
+            capsys, "toeplitz", "--geometry", "conifold", "--chamber", str(n),
+            "--degree", "4", "--engines", "enumerate,product,toeplitz",
+        )
+        general = series_by_engine(
+            capsys, "toeplitz", "--geometry", "general", "--chamber", theta,
+            "--degree", "4", "--engines", "enumerate,product,toeplitz",
+        )
+        assert general == named, n
+
+
 def invalid_cases():
     return [
         ("enumerate", "--geometry", "c3", "--degree", "2", "--engines", "nonsense"),
@@ -121,6 +152,8 @@ def invalid_cases():
          "--chamber", '{"L": 2, "rho": 1, "theta": [1, 3]}', "--degree", "2"),
         ("enumerate", "--geometry", "general",
          "--chamber", '{"L": 2, "rho": [1, -1], "theta": null}', "--degree", "2"),
+        ("product", "--geometry", "general",
+         "--chamber", '{"L": 3, "rho": [1, 1, 1], "theta": [1, 3, 5]}', "--degree", "2"),
     ]
 
 
@@ -138,6 +171,8 @@ def test_argparse_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["enumerate", "--geometry", "neither"]) == 2
     capsys.readouterr()
+    assert main(["enumerate", "--seed", "1"]) == 2
+    capsys.readouterr()
 
 
 def test_help_exits_0(capsys):
@@ -146,7 +181,7 @@ def test_help_exits_0(capsys):
 
 
 def test_disagreement_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli_module, "macmahon", lambda d: TruncatedSeries.one(1, d))
+    monkeypatch.setattr(engines_module, "macmahon", lambda d: TruncatedSeries.one(1, d))
     code, out, _ = run_cli(
         capsys, "enumerate", "--geometry", "c3", "--degree", "3",
         "--engines", "enumerate,product",
@@ -161,7 +196,7 @@ def test_internal_limit_exits_3(monkeypatch, capsys):
     def boom(f, degree):
         raise StabilizationFailureError("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli_module, "stabilized_toeplitz", boom)
+    monkeypatch.setattr(engines_module, "stabilized_toeplitz", boom)
     code, out, err = run_cli(capsys, "toeplitz", "--geometry", "c3", "--degree", "2")
     assert code == 3
     assert json.loads(err)["error"]["type"] == "StabilizationFailureError"

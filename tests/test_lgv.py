@@ -239,6 +239,19 @@ def test_profile_bijection_node_guard():
         profile_bijection_check(c3_chamber(), 3, 3, node_guard=10)
 
 
+def test_profile_bijection_finds_the_peak_once(monkeypatch):
+    calls = []
+    peak_slices = lgv.peak_slices
+
+    def counting(spec):
+        calls.append(spec)
+        return peak_slices(spec)
+
+    monkeypatch.setattr(lgv, "peak_slices", counting)
+    assert profile_bijection_check(conifold_theta(0), 2, 2)
+    assert len(calls) == 1
+
+
 def families_checked(monkeypatch):
     """For c3 and theta_0, walkers 1-4 and degree 0-4: (case, families that
     reach the per-family verdict, families the path determinant counts)."""

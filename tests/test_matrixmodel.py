@@ -19,7 +19,16 @@ from crystalmelt import (
     stabilized_toeplitz,
     toeplitz_det,
 )
-from crystalmelt.matrixmodel import _linear, _symbol_inverse
+from crystalmelt.matrixmodel import _symbol_inverse
+
+
+def _linear(num_vars, cutoff, window, zpow, exps, sign):
+    """The symbol 1 + sign * x^exps * z^zpow (identity if exps exceeds the cutoff)."""
+    coeffs = {0: TruncatedSeries.one(num_vars, cutoff)}
+    mono = TruncatedSeries.monomial(num_vars, cutoff, exps, 1 if sign >= 0 else -1)
+    if not mono.is_zero():
+        coeffs[zpow] = mono
+    return LaurentSymbol(num_vars, cutoff, window, coeffs)
 
 
 def test_c3_symbol_coefficient_exemplars():

@@ -4,13 +4,12 @@ import pytest
 
 from crystalmelt import (
     as_partition,
-    enumerate_partitions,
     interlace_minus,
     interlace_plus,
     size,
     transpose,
 )
-from oracles import all_partitions_up_to, is_horizontal_strip, partitions_of, transpose_by_cells
+from oracles import all_partitions_up_to, is_horizontal_strip, transpose_by_cells
 
 
 def test_as_partition_strips_trailing_zeros():
@@ -87,23 +86,3 @@ def test_interlace_duality_under_transpose():
     for lam in pool:
         for mu in pool:
             assert interlace_minus(lam, mu) == interlace_plus(transpose(lam), transpose(mu))
-
-
-def test_enumerate_partitions_ordering():
-    assert enumerate_partitions(2) == [(), (1,), (2,), (1, 1)]
-    got = enumerate_partitions(5)
-    assert len(got) == 19
-    assert got[:7] == [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
-    # grouped by size, reverse-lexicographic inside each group
-    by_size = {}
-    for lam in got:
-        by_size.setdefault(size(lam), []).append(lam)
-    for n, group in by_size.items():
-        assert group == sorted(group, reverse=True)
-        assert sorted(group) == sorted(partitions_of(n))
-
-
-def test_enumerate_partitions_counts_match_oracle():
-    for n in range(9):
-        expected = len(all_partitions_up_to(n))
-        assert len(enumerate_partitions(n)) == expected

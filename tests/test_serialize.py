@@ -8,8 +8,6 @@ from crystalmelt import (
     chamber_from_json_dict,
     chamber_to_json_dict,
     conifold_theta,
-    partition_from_json,
-    partition_to_json,
     series_from_json_dict,
     series_to_json_dict,
     series_to_tsv,
@@ -92,11 +90,3 @@ def test_chamber_from_json_validates():
         chamber_from_json_dict({"L": 2, "rho": [1, -1], "theta": None})
     with pytest.raises(ValueError, match="'L'"):
         chamber_from_json_dict({"L": "2", "rho": [1, -1], "theta": [1, 3]})
-
-
-def test_partition_round_trip():
-    assert partition_to_json((3, 1)) == [3, 1]
-    assert partition_from_json([3, 1]) == (3, 1)
-    assert partition_from_json([]) == ()
-    with pytest.raises(ValueError):
-        partition_from_json([1, 2])
