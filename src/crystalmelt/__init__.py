@@ -20,7 +20,6 @@ from .chambers import (
     theta_inverse,
     theta_value,
 )
-from .cli import main
 from .enumeration import (
     box_budget,
     enumerate_z,
@@ -137,7 +136,6 @@ __all__ = [
     "lgv_det",
     "macmahon",
     "macmahon_two_var",
-    "main",
     "mirror_map",
     "nonintersecting_bruteforce",
     "path_matrix",

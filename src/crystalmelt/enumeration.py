@@ -2,8 +2,11 @@
 
 A configuration is a bi-infinite partition sequence, empty at both ends,
 obeying the chamber's interlacing rule at every step. The sweep walks the
-finite window that can carry boxes, keeping a frontier of states (current
-partition, boxes spent per slice class) with multiplicity counts.
+finite window that can carry boxes in three stages. It first walks the
+partitions alone under the box budget and records the kept steps between
+them; then it bounds, per partition, the degree still to come; last it runs a
+frontier of states (current partition, boxes spent per slice class, total
+boxes, degree so far) with multiplicity counts over the recorded steps only.
 
 Budget: with genuine weight monomials every box costs at least one unit of
 total degree, so "boxes <= D" is exact. Chambers of the conifold theta_n
@@ -28,9 +31,25 @@ under max_rows: the sweep drops a state exactly when no configuration through
 it fits the budget, and the result is the same as without the lookahead. On an
 ascending step every successor contains mu, so mu's own bound also caps the
 size of the successors generated.
+
+Degree lookahead: a configuration's monomial has total degree
+sum_t W_t |lam_t|, where W_t is the total degree of the weight of slice t's
+class, and it is kept only when that sum is at most D. The first stage keeps
+each step mu -> nu whose least-future room admits the least boxes spent over
+all histories of mu. No single history spends fewer, so every step the last
+stage can take under the same room is recorded. One backward min-plus pass
+over the recorded steps gives least_degree(t, nu): the least
+sum_{t' > t} W_t' |lam_t'| over recorded paths from nu to a closing partition,
+infinite if none. A minimum over a superset of the real continuations is a
+lower bound on the degree any continuation still adds. So a state whose degree
+so far plus W_t |nu| plus least_degree(t, nu) exceeds D has no completion of
+degree <= D, and dropping it removes only configurations that the final degree
+filter would drop anyway: the result is the same as without the bound. The
+box budget stays as the cap that keeps the first stage's graph finite.
 """
 
 from functools import lru_cache
+from itertools import groupby, product
 
 from .chambers import chamber_weights, conifold_index, peak_slices, slice_rule
 from .errors import UnsupportedChamberError
@@ -95,37 +114,23 @@ def _succ_grow_minus(mu, cap):
 
 @lru_cache(maxsize=None)
 def _succ_shrink_plus(mu):
-    """All nu with mu >=+ nu."""
-    seen = set()
-
-    def rec(i, prev, acc):
-        if i == len(mu):
-            seen.add(tuple(x for x in acc if x))
-            return
-        for d in (0, 1):
-            v = mu[i] - d
-            if 0 <= v <= prev:
-                rec(i + 1, v, acc + [v])
-
-    rec(0, mu[0] + 1 if mu else 1, [])
-    return sorted(seen)
+    """All nu with mu >=+ nu: in each block of equal parts, the last k rows
+    lose one box, for every k from 0 to the block's length."""
+    blocks = []
+    for v, run in groupby(mu):
+        m = len(list(run))
+        lowered = (v - 1,) if v > 1 else ()
+        blocks.append([(v,) * (m - k) + lowered * k for k in range(m + 1)])
+    return sorted(sum(parts, ()) for parts in product(*blocks))
 
 
 @lru_cache(maxsize=None)
 def _succ_shrink_minus(mu):
-    """All nu with mu >=- nu: mu_1 >= nu_1 >= mu_2 >= nu_2 >= ..."""
-    seen = set()
-
-    def rec(i, acc):
-        if i == len(mu):
-            seen.add(tuple(x for x in acc if x))
-            return
-        lo = mu[i + 1] if i + 1 < len(mu) else 0
-        for v in range(lo, mu[i] + 1):
-            rec(i + 1, acc + [v])
-
-    rec(0, [])
-    return sorted(seen)
+    """All nu with mu >=- nu: mu_1 >= nu_1 >= mu_2 >= nu_2 >= ..., so each nu_i
+    ranges over [mu_{i+1}, mu_i] on its own. Only the last part can be 0, and
+    dropping it keeps the lexicographic order of the product."""
+    ranges = [range(low, high + 1) for high, low in zip(mu, mu[1:] + (0,))]
+    return [nu[:-1] if nu and not nu[-1] else nu for nu in product(*ranges)]
 
 
 def _least_step(rule):
@@ -196,6 +201,30 @@ def sweep_window(spec, degree, budget):
     return lo, hi
 
 
+def _closes(rule, mu):
+    """Whether the step out of the window, under rule, lands on the empty partition."""
+    rel = interlace_plus if rule.relation == "plus" else interlace_minus
+    return rel((), mu) if rule.direction == "ascending" else rel(mu, ())
+
+
+def _least_degree(graph, weights, ends):
+    """least[i][nu]: the least sum of weights[t] * |lam_t| over t > i along the
+    recorded paths from nu at position i to a closing partition (infinite if
+    none). graph[i] maps each partition at position i - 1 to its recorded edges
+    (nu, boxes, room) into position i; ends holds the bounds of the last
+    position. One backward min-plus pass (module docstring).
+    """
+    least = [None] * len(graph)
+    least[-1] = ends
+    for i in range(len(graph) - 1, 0, -1):
+        w, after = weights[i], least[i]
+        least[i - 1] = {
+            mu: min((w * boxes + after[nu] for nu, boxes, _ in edges), default=_NEVER)
+            for mu, edges in graph[i].items()
+        }
+    return least
+
+
 def _sweep(spec, degree, budget, transposed, max_rows, window=None):
     L = spec.L
     lo, hi = window if window is not None else sweep_window(spec, degree, budget)
@@ -206,20 +235,24 @@ def _sweep(spec, degree, budget, transposed, max_rows, window=None):
     # steps[j] leaves slice lo + j; the last one is the step out of the window
     steps = [_least_step(rule) for rule in rules[1:]]
     memo = {}
-    # frontier: partition at the current slice -> {class counts + (total,): count}
-    frontier = {(): {(0,) * (L + 1): 1}}
-    for s in range(lo, hi + 1):
-        i = s - lo
-        rule = rules[i]
+    classes = [s % L for s in range(lo, hi + 1)]
+    total_degree = [w.total_degree for w in chamber_weights(spec)]
+    weights = [total_degree[c] for c in classes]
+
+    # stage 1: the partition graph under the box budget, carrying only the
+    # least boxes spent per partition; graph[i] holds the edges into slice lo + i
+    graph = []
+    spent = {(): 0}
+    for i, rule in enumerate(rules[:-1]):
         ascending = rule.direction == "ascending"
         plus = rule.relation == "plus"
-        cls = s % L
+        edges_of = {}
         new = {}
-        rooms = {}  # successor -> most boxes its predecessors may have spent
-        for mu, tabs in frontier.items():
+        rooms = {}  # successor -> (its boxes, most boxes its predecessors may have spent)
+        for mu, least_spent in spent.items():
+            edges = edges_of[mu] = []
             if ascending:
                 # every successor contains mu, so its future is at least mu's
-                least_spent = min(acc[L] for acc in tabs)
                 cap = budget - least_spent - least_future(steps, i, mu, memo)
                 if cap < 0:
                     continue
@@ -229,39 +262,58 @@ def _sweep(spec, degree, budget, transposed, max_rows, window=None):
             for nu in succs:
                 if max_rows is not None and len(nu) > max_rows:
                     continue
-                room = rooms.get(nu)
-                if room is None:
-                    room = rooms[nu] = budget - sum(nu) - least_future(steps, i, nu, memo)
-                if room < 0:
+                sized = rooms.get(nu)
+                if sized is None:
+                    boxes = sum(nu)
+                    sized = rooms[nu] = (boxes, budget - boxes - least_future(steps, i, nu, memo))
+                boxes, room = sized
+                if least_spent > room:
                     continue
-                boxes = sum(nu)
+                edges.append((nu, boxes, room))
+                reached = least_spent + boxes
+                if new.get(nu, _NEVER) > reached:
+                    new[nu] = reached
+        graph.append(edges_of)
+        spent = new
+
+    # stage 2: the least degree any recorded continuation still adds
+    closing = rules[-1]
+    least = _least_degree(
+        graph, weights, {nu: 0 if _closes(closing, nu) else _NEVER for nu in spent}
+    )
+
+    # stage 3: the class-count sweep over the recorded edges; a count vector
+    # (class counts, boxes, degree) is dropped once no recorded continuation
+    # can keep it within the box budget and the degree
+    frontier = {(): {(0,) * (L + 2): 1}}
+    for edges_of, bound, w, cls in zip(graph, least, weights, classes):
+        new = {}
+        for mu, tabs in frontier.items():
+            for nu, boxes, room in edges_of[mu]:
+                step = w * boxes
+                limit = degree - step - bound[nu]
                 bucket = new.get(nu)
                 if bucket is None:
                     bucket = new[nu] = {}
                 for acc, count in tabs.items():
-                    if acc[L] > room:
+                    if acc[L] > room or acc[-1] > limit:
                         continue
                     if boxes:
                         acc = list(acc)
                         acc[cls] += boxes
                         acc[L] += boxes
+                        acc[-1] += step
                         acc = tuple(acc)
                     bucket[acc] = bucket.get(acc, 0) + count
                 if not bucket:
                     del new[nu]
         frontier = new
 
-    # the step out of the window must land on the empty partition; the
-    # lookahead already ensures it, this keeps the sum right for any bound
-    closing = rules[-1]
-    rel = interlace_plus if closing.relation == "plus" else interlace_minus
+    # the step out of the window must land on the empty partition; the bounds
+    # already ensure it, this keeps the sum right for any bound
     totals = {}
     for mu, tabs in frontier.items():
-        if closing.direction == "ascending":
-            ok = rel((), mu)
-        else:
-            ok = rel(mu, ())
-        if ok:
+        if _closes(closing, mu):
             for acc, count in tabs.items():
                 key = acc[:L]
                 totals[key] = totals.get(key, 0) + count

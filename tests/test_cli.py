@@ -1,8 +1,10 @@
 """End-to-end command-line behavior, exercised in-process through main()."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from crystalmelt.cli import main
 import crystalmelt.engines as engines_module
 
 GOLDEN = Path(__file__).with_name("golden")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -267,3 +270,20 @@ def test_console_script_is_wired():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["agreement"] is True
+
+
+def test_module_entry_point_runs_without_warnings():
+    # importing the package must not import crystalmelt.cli ahead of runpy,
+    # which would warn on stderr under python -m crystalmelt.cli
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "crystalmelt.cli",
+         "verify", "--degree", "2", "--chamber", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

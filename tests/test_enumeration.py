@@ -1,6 +1,7 @@
 """Direct enumeration of partition evolutions across chambers."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from crystalmelt import (
     UnsupportedChamberError,
     box_budget,
     c3_chamber,
+    chamber_weights,
     conifold_product,
     conifold_theta,
     enumerate_z,
@@ -21,9 +23,9 @@ from crystalmelt import (
     sweep_window,
     walker_graph,
 )
-from crystalmelt import enumeration
+from crystalmelt import enumeration, interlace_minus, interlace_plus
 from crystalmelt.enumeration import _enumerate
-from oracles import plane_partition_counts
+from oracles import all_partitions_up_to, plane_partition_counts
 
 
 def test_c3_counts_plane_partitions():
@@ -66,6 +68,20 @@ def test_sweep_window_covers_the_naive_window():
 def test_conifold_enumeration_matches_product_small():
     for n in (0, 1):
         assert enumerate_z(conifold_theta(n), 6) == conifold_product(n, 6)
+
+
+def test_shrinking_successors_are_every_interlacing_partition_in_order():
+    # the tables build successors block by block; the reference filters every
+    # partition no larger than mu through the interlacing predicates
+    pool = all_partitions_up_to(9)
+    for mu in pool:
+        smaller = sorted(nu for nu in pool if sum(nu) <= sum(mu))
+        assert enumeration._succ_shrink_plus(mu) == [
+            nu for nu in smaller if interlace_plus(mu, nu)
+        ], mu
+        assert enumeration._succ_shrink_minus(mu) == [
+            nu for nu in smaller if interlace_minus(mu, nu)
+        ], mu
 
 
 def test_c3_matches_macmahon_small():
@@ -151,6 +167,73 @@ def test_over_eager_lookahead_is_caught(monkeypatch):
     )
     assert enumerate_z(c3_chamber(), 6) != macmahon(6)
     assert enumerate_z(conifold_theta(2), 3) != conifold_product(2, 3)
+
+
+def _shift_degree_bound(monkeypatch, shift):
+    true_bound = enumeration._least_degree
+    monkeypatch.setattr(
+        enumeration,
+        "_least_degree",
+        lambda *args: [
+            {nu: bound + shift for nu, bound in table.items()} for table in true_bound(*args)
+        ],
+    )
+
+
+def test_over_eager_degree_bound_is_caught(monkeypatch):
+    # every degree-D configuration ends on a state whose bound (0) is attained,
+    # so one more than the true bound drops them all
+    _shift_degree_bound(monkeypatch, 1)
+    assert enumerate_z(c3_chamber(), 6) != macmahon(6)
+    assert enumerate_z(conifold_theta(2), 3) != conifold_product(2, 3)
+
+
+def _all_routes(spec, d):
+    b = box_budget(spec, d)
+    lo, hi = sweep_window(spec, d, b)
+    wide = (lo - spec.L, hi + spec.L)
+    return (
+        enumerate_z(spec, d),
+        enumerate_z_transposed(spec, d),
+        enumerate_z_rows(spec, d, 2),
+        _enumerate(spec, d, transposed=False, budget=b + 2, window=wide),
+        _enumerate(spec, d, transposed=True, budget=b + 2, window=wide),
+    )
+
+
+def test_degree_prune_changes_nothing(monkeypatch):
+    cases = [(conifold_theta(n), d) for n in (1, 2, 3, 4) for d in (3, 4, 5, 6)]
+    pruned = [_all_routes(spec, d) for spec, d in cases]
+    _shift_degree_bound(monkeypatch, -math.inf)
+    for (spec, d), expected in zip(cases, pruned):
+        assert _all_routes(spec, d) == expected, (spec, d)
+
+
+def _one_period_thetas(L):
+    """theta images (2 pi(r) + 1) + 2L k_r: a permutation pi of the residues
+    and shifts k_r in {-1, 0, 1} summing to 0."""
+    for perm in itertools.permutations(range(L)):
+        for shift in itertools.product((-1, 0, 1), repeat=L):
+            if sum(shift) == 0:
+                yield tuple(2 * p + 1 + 2 * L * k for p, k in zip(perm, shift))
+
+
+def test_degree_prune_changes_nothing_on_other_laurent_chambers(monkeypatch):
+    # Laurent chambers outside theta_n have no proven box budget; at a fixed
+    # budget the prune must still keep every configuration the budget admits
+    laurent = [
+        spec
+        for rho in ((1, 1, -1), (1, -1, 1), (1, 1, 1))
+        for theta in _one_period_thetas(3)
+        for spec in (ChamberSpec(3, rho, theta),)
+        if not all(w.is_genuine for w in chamber_weights(spec))
+    ]
+    specs = random.Random(7331).sample(laurent, 8)
+    budget = 16
+    pruned = [_enumerate(spec, 4, transposed=False, budget=budget) for spec in specs]
+    _shift_degree_bound(monkeypatch, -math.inf)
+    for spec, expected in zip(specs, pruned):
+        assert _enumerate(spec, 4, transposed=False, budget=budget) == expected, spec
 
 
 def test_single_peak_general_chambers_agree_across_routes():
