@@ -62,6 +62,7 @@ from .partitions import (
     transpose,
 )
 from .products import (
+    chamber_product,
     conifold_product,
     macmahon,
     macmahon_two_var,
@@ -120,6 +121,7 @@ __all__ = [
     "c3_chamber",
     "c3_symbol",
     "chamber_from_json_dict",
+    "chamber_product",
     "chamber_to_json_dict",
     "chamber_weight",
     "chamber_weights",

@@ -8,8 +8,8 @@ verify_all takes the product and Toeplitz values it checks from here.
 
 - enumerate: the slice sweep, for chambers with genuine weights and for the
   conifold ladder theta_n (box_budget decides).
-- product: the MacMahon product for c3, the conifold chamber product for
-  theta_n.
+- product: the root-data product of products.chamber_product, for every
+  chamber.
 - toeplitz: the stabilized Toeplitz determinant of the c3 walker symbol, or
   the theta_n symbol times its prefactor C_n.
 - lgv: the walker-path determinant, for single-peak chambers with genuine
@@ -23,7 +23,7 @@ from .enumeration import enumerate_z
 from .errors import UnsupportedChamberError
 from .lgv import lgv_det, walker_graph
 from .matrixmodel import c3_symbol, conifold_symbol, prefactor_cn, stabilized_toeplitz
-from .products import conifold_product, macmahon
+from .products import chamber_product
 
 ENGINES = ("enumerate", "product", "toeplitz", "lgv")
 
@@ -40,12 +40,7 @@ def engine_series(name, spec, degree):
     if name == "lgv":
         return lgv_det(walker_graph(spec, max(degree, 1), degree)), {}
     if name == "product":
-        if spec == c3_chamber():
-            return macmahon(degree), {}
-        n = conifold_index(spec)
-        if n is None:
-            raise UnsupportedChamberError("no closed product form is wired for this chamber")
-        return conifold_product(n, degree), {}
+        return chamber_product(spec, degree), {}
     if name == "toeplitz":
         if spec == c3_chamber():
             res = stabilized_toeplitz(c3_symbol(degree), degree)

@@ -61,55 +61,50 @@ _KEEP, _DROP, _SHIFT = 0, 1, 2
 _NEVER = float("inf")
 
 
+def _extend(heads, options, limit):
+    """Each head (parts, boxes) followed by each option (more parts, their
+    boxes) that keeps the boxes within limit, in order; options come sorted by
+    their boxes. Lazy, so a chain of calls builds a table depth first and
+    frees each partial head as soon as its extensions are out."""
+    for head, boxes in heads:
+        for more, extra in options:
+            if boxes + extra > limit:
+                break
+            yield head + more, boxes + extra
+
+
 @lru_cache(maxsize=None)
 def _succ_grow_plus(mu, cap):
-    """All lam >=+ mu with |lam| <= cap; trailing 1-rows may extend lam."""
-    out = []
-
-    def rec(i, prev, acc, total):
-        if total > cap:
-            return
-        if i == len(mu):
-            out.append(tuple(acc))
-            k = 1
-            while total + k <= cap:
-                out.append(tuple(acc + [1] * k))
-                k += 1
-            return
-        for d in (0, 1):
-            v = mu[i] + d
-            if v <= prev:
-                rec(i + 1, v, acc + [v], total + v)
-
-    rec(0, cap + 1, [], 0)
-    return out
+    """All lam >=+ mu with |lam| <= cap: in each block of equal parts, the first
+    k rows gain one box, for every k from 0 to the block's length, and any
+    number of 1-rows may follow. Blocks are chosen one after the other in
+    lexicographic order, keeping only the choices that fit the budget."""
+    room = cap - sum(mu)
+    heads = [((), 0)]  # (rows so far, boxes gained so far)
+    for v, run in groupby(mu):
+        m = len(list(run))
+        blocks = [((v + 1,) * k + (v,) * (m - k), k) for k in range(m + 1)]
+        heads = _extend(heads, blocks, room)
+    heads = _extend(heads, [((1,) * k, k) for k in range(room + 1)], room)
+    return [lam for lam, _ in heads]
 
 
 @lru_cache(maxsize=None)
 def _succ_grow_minus(mu, cap):
     """All lam >=- mu with |lam| <= cap.
 
-    The chain lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... bounds lam_{i+1} by mu_i,
-    leaves lam_1 bounded only by the budget, and allows one extra final part.
+    The chain lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... bounds lam_1 below by mu_1
+    and above only by the budget, puts each later lam_(i+1) in [mu_(i+1), mu_i],
+    and allows one extra final part in [0, mu_n]; a final 0 is dropped. The
+    parts are chosen range by range in lexicographic order, each capped so
+    that the least parts still to come fit the budget.
     """
-    out = []
-    n = len(mu)
-
-    def rec(i, acc, total):
-        if i == n:
-            out.append(tuple(acc))
-            hi = min(mu[n - 1] if n else cap, cap - total)
-            for v in range(1, hi + 1):
-                out.append(tuple(acc + [v]))
-            return
-        hi = cap - total - sum(mu[i + 1:])
-        if i > 0:
-            hi = min(hi, mu[i - 1])
-        for v in range(mu[i], hi + 1):
-            rec(i + 1, acc + [v], total + v)
-
-    rec(0, [], 0)
-    return out
+    rest = sum(mu)  # boxes the parts still to come need at least
+    heads = [((), 0)]  # (parts so far, their boxes)
+    for low, high in zip(mu + (0,), (cap,) + mu):
+        rest -= low
+        heads = _extend(heads, [((v,), v) for v in range(low, high + 1)], cap - rest)
+    return [lam[:-1] if not lam[-1] else lam for lam, _ in heads]
 
 
 @lru_cache(maxsize=None)

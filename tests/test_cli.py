@@ -155,8 +155,8 @@ def invalid_cases():
          "--chamber", '{"L": 2, "rho": 1, "theta": [1, 3]}', "--degree", "2"),
         ("enumerate", "--geometry", "general",
          "--chamber", '{"L": 2, "rho": [1, -1], "theta": null}', "--degree", "2"),
-        ("product", "--geometry", "general",
-         "--chamber", '{"L": 3, "rho": [1, 1, 1], "theta": [1, 3, 5]}', "--degree", "2"),
+        ("enumerate", "--geometry", "general",
+         "--chamber", '{"L": 3, "rho": [1, 1, 1], "theta": [3, 1, 5]}', "--degree", "2"),
     ]
 
 
@@ -184,7 +184,7 @@ def test_help_exits_0(capsys):
 
 
 def test_disagreement_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(engines_module, "macmahon", lambda d: TruncatedSeries.one(1, d))
+    monkeypatch.setattr(engines_module, "chamber_product", lambda s, d: TruncatedSeries.one(1, d))
     code, out, _ = run_cli(
         capsys, "enumerate", "--geometry", "c3", "--degree", "3",
         "--engines", "enumerate,product",

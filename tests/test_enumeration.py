@@ -84,6 +84,23 @@ def test_shrinking_successors_are_every_interlacing_partition_in_order():
         ], mu
 
 
+def test_growing_successors_are_every_interlacing_partition_in_order():
+    # the tables build successors block by block and range by range; the
+    # reference filters every partition within the budget through the
+    # interlacing predicates
+    top = 9
+    pool = all_partitions_up_to(top)
+    for mu in pool:
+        for cap in range(max(sum(mu) - 1, 0), top + 1):
+            within = sorted(lam for lam in pool if sum(lam) <= cap)
+            assert enumeration._succ_grow_plus(mu, cap) == [
+                lam for lam in within if interlace_plus(lam, mu)
+            ], (mu, cap)
+            assert enumeration._succ_grow_minus(mu, cap) == [
+                lam for lam in within if interlace_minus(lam, mu)
+            ], (mu, cap)
+
+
 def test_c3_matches_macmahon_small():
     assert enumerate_z(c3_chamber(), 9) == macmahon(9)
 
