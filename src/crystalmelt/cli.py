@@ -208,6 +208,8 @@ def _parse_fraction(label: str, raw: str) -> Fraction:
 
 
 def _spectral_command(args) -> int:
+    if args.trials < 0:
+        raise ValueError("--trials must be >= 0")
     rng_params = CurveParams(
         _parse_fraction("--q", args.q),
         _parse_fraction("--mu", args.mu),

@@ -14,8 +14,19 @@ disjointness enforces exactly the strict inequalities the evolution demands.
 All slopes are in {0, +-1} and time only advances, hence any vertex-disjoint
 family connects source k to sink k and no signed terms survive beyond the
 non-intersecting sum.
+
+Window lemma. A unit of height raised at ascending step t costs the weight
+run over slices t+1..peak-1, and one dropped at descending step t the run
+over peak..t (see walker_graph). Where that run's degree exceeds the cutoff
+the step has no rise or drop edge, only weight-1 straight edges (rails
+included), which carry every path straight across: the step maps each path
+onto itself and each vertex-disjoint family onto one. Removing such a step
+therefore changes no path sum, so every path-matrix entry stays identical,
+not just the determinant, and the graph spans only the steps that keep an
+edge (_walker_window).
 """
 
+from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
 from operator import add, itemgetter
 
@@ -23,6 +34,8 @@ from .chambers import chamber_weights, peak_slices, slice_rule
 from .errors import InvalidGraphError, OracleTooLargeError, UnsupportedChamberError
 from .partitions import interlace_minus, interlace_plus
 from .series import TruncatedSeries, det_division_free
+
+_NEVER = float("inf")
 
 
 class WeightedDag:
@@ -65,23 +78,42 @@ class WeightedDag:
 
 
 def _topological_order(g):
+    """Vertices in dependency order, always taking the smallest ready vertex."""
     indeg = {v: 0 for v in g.vertices}
     for tail, outs in g.adjacency.items():
         for head, _ in outs:
             indeg[head] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapify(ready)
     order = []
     while ready:
-        v = ready.pop()
+        v = heappop(ready)
         order.append(v)
         for head, _ in g.adjacency.get(v, ()):
             indeg[head] -= 1
             if indeg[head] == 0:
-                ready.append(head)
-        ready.sort(reverse=True)  # deterministic pop order, smallest first
+                heappush(ready, head)
     if len(order) != len(g.vertices):
         raise InvalidGraphError("graph has a directed cycle")
     return order
+
+
+def _least_to_sink(g, order):
+    """least[v]: the lowest total degree of any path from v to a sink, 0 at a
+    sink and infinite when no path reaches one; one backward pass over the
+    topological order."""
+    sinks = set(g.sinks)
+    least = {}
+    for v in reversed(order):
+        if v in sinks:
+            least[v] = 0
+            continue
+        best = _NEVER
+        for head, weight in g.adjacency.get(v, ()):
+            if weight.terms:
+                best = min(best, min(map(sum, weight.terms)) + least[head])
+        least[v] = best
+    return least
 
 
 def path_matrix(g):
@@ -92,10 +124,26 @@ def path_matrix(g):
     each head in place. An edge of weight exactly 1 merges ways[v] into the
     head unmultiplied; any other edge multiplies by the weight's terms, taken
     in ascending degree so each term of ways[v] stops at the first product
-    beyond the cutoff. Only the sink entries become series, through the
-    validating constructor, which also drops coefficients that cancelled.
+    that cannot reach a sink within the cutoff. Only the sink entries become
+    series, through the validating constructor, which also drops coefficients
+    that cancelled.
+
+    Sink lemma. Let least[v] be the lowest total degree of any path from v to
+    a sink (_least_to_sink). Every exponent is non-negative (the clean-terms
+    invariant), so along any path degrees only add up: a term of degree delta
+    at v reaches a sink only at degree >= delta + least[v]. A term with
+    delta + least[v] > cutoff is therefore dead, and so is everything it
+    spawns. So heads with least > cutoff are skipped, and a weighted edge into
+    head stops its products at cutoff - least[head] instead of at the cutoff.
+    A weight-1 merge into head is left unfiltered: least[v] <= least[head]
+    there, so a dead term stays dead along it, and no dead term ever sits at
+    a sink, where least is 0 and every stored term lies within the cutoff. A
+    term that does reach a sink within the cutoff was live at every vertex on
+    its way and is never cut, so every entry is the same sum as without the
+    cut. The lemma holds for any WeightedDag.
     """
     order = _topological_order(g)
+    least = _least_to_sink(g, order)
     cutoff = g.cutoff
     unit = {(0,) * g.num_vars: 1}
 
@@ -104,8 +152,13 @@ def path_matrix(g):
             return None
         return sorted([(sum(e), e, c) for e, c in weight.terms.items()], key=itemgetter(0))
 
+    # (head, weight terms by degree or None for a unit edge, degree budget at head)
     steps = {
-        v: [(head, by_degree(weight)) for head, weight in outs]
+        v: [
+            (head, by_degree(weight), cutoff - least[head])
+            for head, weight in outs
+            if least[head] <= cutoff
+        ]
         for v, outs in g.adjacency.items()
     }
     matrix = []
@@ -115,7 +168,7 @@ def path_matrix(g):
             wv = ways.get(v)
             if wv is None:
                 continue
-            for head, weight in steps.get(v, ()):
+            for head, weight, reach in steps.get(v, ()):
                 into = ways.get(head)
                 if weight is None:
                     if into is None:
@@ -127,7 +180,7 @@ def path_matrix(g):
                 if into is None:
                     into = ways[head] = {}
                 for e, c in wv.items():
-                    room = cutoff - sum(e)
+                    room = reach - sum(e)
                     for dw, ew, cw in weight:
                         if dw > room:
                             break
@@ -244,6 +297,28 @@ def _single_peak(spec):
     return peaks[0], [w.exponents for w in weights]
 
 
+def _walker_window(peak, weights, degree):
+    """The steps t_min <= t < t_max that carry a rise or a drop edge.
+
+    Ascending step t has its rise edge when deg run(t+1..peak-1) <= degree,
+    descending step t its drop edge when deg run(peak..t) <= degree (see the
+    module docstring); both runs grow by at least 1 per slice away from the
+    peak, so the kept steps are one range, found by walking out from it.
+    Step peak-1 always stays: its run is empty.
+    """
+    L = len(weights)
+    unit_degrees = [sum(w) for w in weights]
+    t_min, run = peak - 1, 0
+    while run + unit_degrees[t_min % L] <= degree:
+        run += unit_degrees[t_min % L]
+        t_min -= 1
+    t_max, run = peak, 0
+    while run + unit_degrees[t_max % L] <= degree:
+        run += unit_degrees[t_max % L]
+        t_max += 1
+    return t_min, t_max
+
+
 def walker_graph(spec, walkers, degree):
     """DAG whose N-walker non-intersecting families are the configurations of
     spec with at most N rows per slice, weighted as in enumerate_z.
@@ -253,7 +328,8 @@ def walker_graph(spec, walkers, degree):
     that range; the rise edge carries the run from s+1 up to the peak and the
     fall edge the run from the peak through s', which multiply to exactly
     that. Edges whose monomial exceeds the cutoff are omitted (their families
-    could only contribute beyond the truncation).
+    could only contribute beyond the truncation), and so are the steps left
+    with straight edges only (the window lemma in the module docstring).
     """
     return _walker_graph(spec, walkers, degree, *_single_peak(spec))
 
@@ -265,8 +341,7 @@ def _walker_graph(spec, walkers, degree, peak, weights):
     if degree < 0:
         raise ValueError("degree must be >= 0")
     L = spec.L
-    t_min = -(degree + 2) * L
-    t_max = (degree + 2) * L
+    t_min, t_max = _walker_window(peak, weights, degree)
     hmax = walkers - 1 + degree
     one = TruncatedSeries.one(L, degree)
 
@@ -338,9 +413,6 @@ def _gadget_moves(g, rule, x0, start):
                 elif head[0] == x0 + 1:
                     stack.append((head, seen + [head], exps))
     return out
-
-
-_NEVER = float("inf")
 
 
 def _least_drop_cost(drops, excess):
@@ -478,8 +550,7 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     peak, weights = _single_peak(spec)
     g = _walker_graph(spec, walkers, degree, peak, weights)
     L = spec.L
-    t_min = -(degree + 2) * L
-    t_max = (degree + 2) * L
+    t_min, t_max = _walker_window(peak, weights, degree)
     rules = [slice_rule(spec, t) for t in range(t_min, t_max)]
     ground = tuple(range(walkers))
     ground_sum = sum(ground)

@@ -22,6 +22,14 @@ one unit of q-degree per unit of |z|-power, so z-exponents beyond D + 1 have
 identically zero coefficients at truncation D. Multiplying the lone lax
 factor last keeps the intermediate products strict and makes the window clip
 lossless.
+
+Division lemma: a denominator factor 1 - u z^{+-1} with deg u >= 1 has the
+strict inverse sum_j u^j z^{+-j}, so a strict symbol divided by it stays
+strict: its z^m coefficient has valuation >= |m|, hence vanishes for
+|m| > D. The window clip at D + 1 therefore drops nothing at any stage, and
+dividing by the denominator one factor at a time (_divide_linear) gives
+exactly the truncated quotient by the whole denominator; no general symbol
+inverse is needed.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
-from .errors import NotInvertibleError, StabilizationFailureError
+from .errors import StabilizationFailureError
 from .series import (
     LaurentSymbol,
     TruncatedSeries,
@@ -49,42 +57,6 @@ class MatrixModelResult(NamedTuple):
     value: TruncatedSeries
     stabilized_at: int
     history: dict
-
-
-def _symbol_inverse(f: LaurentSymbol) -> LaurentSymbol:
-    """Invert a symbol whose z^0 series is a unit and whose off-center
-    coefficients all vanish at q-degree zero.
-
-    Writing f = a0 (1 + S) with S supported away from degree zero, the inverse
-    is a0^{-1} sum_j (-S)^j; the sum terminates because each power of S climbs
-    at least one q-degree. Intended for strict symbols (coefficient of z^m has
-    valuation >= |m|), where the window clip during the powers drops nothing.
-    """
-    a0_inv = f.coefficient(0).invert()
-    rest = {}
-    for m, c in f.coeffs.items():
-        if m == 0:
-            continue
-        if c.constant_term() != 0:
-            raise NotInvertibleError(
-                "symbol inverse needs off-center coefficients without constant term"
-            )
-        rest[m] = a0_inv * c
-    s = LaurentSymbol(f.num_vars, f.cutoff, f.window, rest)
-    total = {0: TruncatedSeries.one(f.num_vars, f.cutoff)}
-    power = LaurentSymbol.identity(f.num_vars, f.cutoff, f.window)
-    sign = 1
-    for _ in range(f.cutoff):
-        power = power * s
-        sign = -sign
-        if not power.coeffs:
-            break
-        for m, c in power.coeffs.items():
-            signed = c if sign > 0 else -c
-            total[m] = total[m] + signed if m in total else signed
-    return LaurentSymbol(
-        f.num_vars, f.cutoff, f.window, {m: a0_inv * c for m, c in total.items()}
-    )
 
 
 def _times_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps, sign: int) -> dict:
@@ -111,6 +83,38 @@ def _times_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps, sign:
                 into[key] = c
             else:
                 del into[key]
+    return out
+
+
+def _divide_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps) -> dict:
+    """coeffs / (1 - x^exps * z^zpow) for zpow = +-1, in the form and window of
+    _times_linear; coeffs is not modified. The quotient g solves
+    g = f + x^exps z^zpow g, so g_m = f_m + x^exps g_{m - zpow}, solved one
+    z-power at a time in the direction of zpow until the carry runs out or
+    leaves the window. exps must have positive degree (the symbols here are
+    strict); returns a copy when it exceeds the cutoff, where the factor is 1.
+    """
+    deg = sum(exps)
+    if deg > cutoff:
+        return {m: dict(terms) for m, terms in coeffs.items()}
+    room = cutoff - deg
+    m, last = (min(coeffs), max(coeffs)) if zpow > 0 else (max(coeffs), min(coeffs))
+    out = {}
+    carry = {}
+    while abs(m) <= window:
+        g = dict(coeffs.get(m, {}))
+        for e, c in carry.items():
+            c += g.get(e, 0)
+            if c:
+                g[e] = c
+            else:
+                del g[e]
+        if g:
+            out[m] = g
+        carry = {tuple(map(add, e, exps)): c for e, c in g.items() if sum(e) <= room}
+        if not carry and (m - last) * zpow >= 0:
+            break
+        m += zpow
     return out
 
 
@@ -143,9 +147,10 @@ def conifold_symbol(n: int, cutoff: int) -> LaurentSymbol:
     Strict part: prod_k (1 + q0^k q1^k z)(1 + q0^k q1^k z^-1) over k >= 1,
     divided by prod_k (1 - q0^k q1^(k+1) z)(1 - q0^(k+1) q1^k z^-1) over
     k >= 0, then the n chamber factors (1 - q0^k q1^(k-1) z^-1), k = 1..n.
-    Every linear factor is applied as a shift-and-add; the division is
-    realized by inverting the denominator symbol as a whole (see
-    _symbol_inverse); the lax (1 + z) comes last.
+    Every linear factor is applied as a shift-and-add and every denominator
+    factor divided out in turn by _divide_linear; each of these is exact
+    because the partial products stay strict (module docstring). The lax
+    (1 + z) comes last.
     """
     if n < 0:
         raise ValueError("chamber index n must be >= 0")
@@ -156,14 +161,9 @@ def conifold_symbol(n: int, cutoff: int) -> LaurentSymbol:
     for k in range(1, cutoff // 2 + 1):
         f = _times_linear(f, cutoff, window, 1, (k, k), 1)
         f = _times_linear(f, cutoff, window, -1, (k, k), 1)
-    den = {0: {(0, 0): 1}}
-    for k in range((cutoff + 1) // 2 + 1):
-        den = _times_linear(den, cutoff, window, 1, (k, k + 1), -1)
-        den = _times_linear(den, cutoff, window, -1, (k + 1, k), -1)
-    quotient = _to_symbol(2, cutoff, window, f) * _symbol_inverse(
-        _to_symbol(2, cutoff, window, den)
-    )
-    f = {m: dict(c.terms) for m, c in quotient.coeffs.items()}
+    for k in range((cutoff + 1) // 2):
+        f = _divide_linear(f, cutoff, window, 1, (k, k + 1))
+        f = _divide_linear(f, cutoff, window, -1, (k + 1, k))
     for k in range(1, n + 1):
         f = _times_linear(f, cutoff, window, -1, (k, k - 1), -1)
     f = _times_linear(f, cutoff, window, 1, (0, 0), 1)

@@ -157,6 +157,7 @@ def invalid_cases():
          "--chamber", '{"L": 2, "rho": [1, -1], "theta": null}', "--degree", "2"),
         ("enumerate", "--geometry", "general",
          "--chamber", '{"L": 3, "rho": [1, 1, 1], "theta": [3, 1, 5]}', "--degree", "2"),
+        ("spectral", "--check", "s3", "--trials", "-1"),
     ]
 
 

@@ -1,10 +1,12 @@
 """Non-intersecting path determinants and the walker graphs."""
 
+import itertools
 import random
 
 import pytest
 
 from crystalmelt import (
+    ChamberSpec,
     InvalidGraphError,
     OracleTooLargeError,
     TruncatedSeries,
@@ -286,3 +288,94 @@ def test_over_eager_bijection_lookahead_is_caught(monkeypatch):
     true_bound = lgv._least_drop_cost
     monkeypatch.setattr(lgv, "_least_drop_cost", lambda *args: true_bound(*args) + 1)
     assert any(reached < total for _, reached, total in families_checked(monkeypatch))
+
+
+def wide_window(peak, weights, degree):
+    """The window the walker graphs spanned before it was derived: +-(D+2)L."""
+    return -(degree + 2) * len(weights), (degree + 2) * len(weights)
+
+
+def window_cases():
+    """(spec, walkers, degree) over c3 and theta_0 with 1-4 walkers, and the
+    24 identity chambers with L = 3, 4 with 1-2 walkers, all at degree 0-4."""
+    cases = [
+        (spec, walkers, degree)
+        for spec in (c3_chamber(), conifold_theta(0))
+        for walkers in (1, 2, 3, 4)
+        for degree in range(5)
+    ]
+    for L in (3, 4):
+        for rho in itertools.product((1, -1), repeat=L):
+            spec = ChamberSpec(L, rho, tuple(range(1, 2 * L, 2)))
+            cases += [(spec, walkers, degree) for walkers in (1, 2) for degree in range(5)]
+    return cases
+
+
+def walker_outputs(monkeypatch, spec, walkers, degree):
+    """The path matrix, its determinant, and every family that reaches the
+    bijection verdict as (weight, the non-empty slices with their times)."""
+    seen = []
+    verdict = lgv._family_verdict
+
+    def recording(rules, t_min, weights, profile, gadget_vertices, total_exp):
+        ground = profile[0]
+        slices = tuple((t_min + i, h) for i, h in enumerate(profile) if h != ground)
+        seen.append((total_exp, slices))
+        return verdict(rules, t_min, weights, profile, gadget_vertices, total_exp)
+
+    with monkeypatch.context() as m:
+        m.setattr(lgv, "_family_verdict", recording)
+        assert profile_bijection_check(spec, walkers, degree)
+    g = walker_graph(spec, walkers, degree)
+    return path_matrix(g), lgv_det(g), sorted(seen)
+
+
+def test_derived_walker_window_changes_no_path_sum(monkeypatch):
+    for spec, walkers, degree in window_cases():
+        derived = walker_outputs(monkeypatch, spec, walkers, degree)
+        with monkeypatch.context() as m:
+            m.setattr(lgv, "_walker_window", wide_window)
+            wide = walker_outputs(m, spec, walkers, degree)
+        assert derived == wide, (spec, walkers, degree)
+
+
+def test_walker_window_one_step_short_is_caught(monkeypatch):
+    window = lgv._walker_window
+    for short in (
+        lambda *args: (window(*args)[0] + 1, window(*args)[1]),
+        lambda *args: (window(*args)[0], window(*args)[1] - 1),
+    ):
+        changed = False
+        for spec in (c3_chamber(), conifold_theta(0)):
+            for walkers in (1, 2, 3):
+                for degree in range(1, 5):
+                    derived = path_matrix(walker_graph(spec, walkers, degree))
+                    with monkeypatch.context() as m:
+                        m.setattr(lgv, "_walker_window", short)
+                        changed |= path_matrix(walker_graph(spec, walkers, degree)) != derived
+        assert changed
+
+
+def test_sink_lookahead_changes_no_path_sum(monkeypatch):
+    # least forced to 0 everywhere is the plain cut at the cutoff
+    for spec in (c3_chamber(), conifold_theta(0)):
+        for walkers in (1, 2, 3):
+            for degree in range(5):
+                g = walker_graph(spec, walkers, degree)
+                pruned = path_matrix(g)
+                with monkeypatch.context() as m:
+                    m.setattr(lgv, "_least_to_sink", lambda g, order: dict.fromkeys(order, 0))
+                    assert path_matrix(g) == pruned, (spec.L, walkers, degree)
+
+
+def test_over_eager_sink_lookahead_is_caught(monkeypatch):
+    # one degree more than the least degree to a sink cuts the terms that
+    # reach a sink at exactly the cutoff
+    graphs = [walker_graph(spec, 3, 3) for spec in (c3_chamber(), conifold_theta(0))]
+    exact = [path_matrix(g) for g in graphs]
+    least = lgv._least_to_sink
+    monkeypatch.setattr(
+        lgv, "_least_to_sink", lambda g, order: {v: x + 1 for v, x in least(g, order).items()}
+    )
+    for g, matrix in zip(graphs, exact):
+        assert path_matrix(g) != matrix, g.num_vars

@@ -19,7 +19,7 @@ from crystalmelt import (
     stabilized_toeplitz,
     toeplitz_det,
 )
-from crystalmelt.matrixmodel import _symbol_inverse
+from crystalmelt.matrixmodel import _divide_linear, _times_linear, _to_symbol
 
 
 def _linear(num_vars, cutoff, window, zpow, exps, sign):
@@ -29,6 +29,44 @@ def _linear(num_vars, cutoff, window, zpow, exps, sign):
     if not mono.is_zero():
         coeffs[zpow] = mono
     return LaurentSymbol(num_vars, cutoff, window, coeffs)
+
+
+def _symbol_inverse(f):
+    """Invert a symbol whose z^0 series is a unit and whose off-center
+    coefficients all vanish at q-degree zero.
+
+    Writing f = a0 (1 + S) with S supported away from degree zero, the inverse
+    is a0^{-1} sum_j (-S)^j; the sum terminates because each power of S climbs
+    at least one q-degree. Intended for strict symbols (coefficient of z^m has
+    valuation >= |m|), where the window clip during the powers drops nothing.
+    The reference that conifold_symbol's factor-by-factor division is
+    compared against.
+    """
+    a0_inv = f.coefficient(0).invert()
+    rest = {}
+    for m, c in f.coeffs.items():
+        if m == 0:
+            continue
+        if c.constant_term() != 0:
+            raise NotInvertibleError(
+                "symbol inverse needs off-center coefficients without constant term"
+            )
+        rest[m] = a0_inv * c
+    s = LaurentSymbol(f.num_vars, f.cutoff, f.window, rest)
+    total = {0: TruncatedSeries.one(f.num_vars, f.cutoff)}
+    power = LaurentSymbol.identity(f.num_vars, f.cutoff, f.window)
+    sign = 1
+    for _ in range(f.cutoff):
+        power = power * s
+        sign = -sign
+        if not power.coeffs:
+            break
+        for m, c in power.coeffs.items():
+            signed = c if sign > 0 else -c
+            total[m] = total[m] + signed if m in total else signed
+    return LaurentSymbol(
+        f.num_vars, f.cutoff, f.window, {m: a0_inv * c for m, c in total.items()}
+    )
 
 
 def test_c3_symbol_coefficient_exemplars():
@@ -48,8 +86,9 @@ def test_c3_symbol_window():
 
 
 def general_product_symbols(d):
-    """c3_symbol(d) and conifold_symbol(n, d), n = 0..3, rebuilt factor by
-    factor as general symbol products, in the same order."""
+    """c3_symbol(d) and conifold_symbol(n, d), n = 0..4, rebuilt factor by
+    factor as general symbol products, the conifold denominator through
+    _symbol_inverse of the whole product."""
     w = d + 1
     f = LaurentSymbol.identity(1, d, w)
     for k in range(1, d + 1):
@@ -63,7 +102,7 @@ def general_product_symbols(d):
         den = den * _linear(2, d, w, 1, (k, k + 1), -1) * _linear(2, d, w, -1, (k + 1, k), -1)
     f = f * _symbol_inverse(den)
     conifold = []
-    for n in range(4):
+    for n in range(5):
         if n:
             f = f * _linear(2, d, w, -1, (n, n - 1), -1)
         conifold.append(f * _linear(2, d, w, 1, (0, 0), 1))
@@ -71,7 +110,7 @@ def general_product_symbols(d):
 
 
 def test_shift_and_add_symbols_match_general_products():
-    for d in range(13):
+    for d in range(14):
         c3, conifold = general_product_symbols(d)
         assert c3_symbol(d) == c3, d
         for n, expected in enumerate(conifold):
@@ -97,6 +136,24 @@ def test_symbol_inverse_rejects_constant_off_center_terms():
     f = LaurentSymbol(1, 3, 4, {0: one, 1: one})
     with pytest.raises(NotInvertibleError):
         _symbol_inverse(f)
+
+
+def test_divide_linear_undoes_the_linear_factor():
+    rng = random.Random(1102)
+    for _ in range(40):
+        d = rng.randint(0, 8)
+        w = d + 1
+        f = {0: {(0, 0): 1}}
+        for _ in range(rng.randint(0, 4)):
+            exps = (rng.randint(0, 2), rng.randint(1, 2))
+            f = _times_linear(f, d, w, rng.choice([-1, 1]), exps, rng.choice([-1, 1]))
+        zpow = rng.choice([-1, 1])
+        exps = (rng.randint(0, 2), rng.randint(1, 3))
+        g = _divide_linear(f, d, w, zpow, exps)
+        back = _times_linear(g, d, w, zpow, exps, -1)
+        assert _to_symbol(2, d, w, back) == _to_symbol(2, d, w, f)
+        inverse = _symbol_inverse(_linear(2, d, w, zpow, exps, -1))
+        assert _to_symbol(2, d, w, g) == _to_symbol(2, d, w, f) * inverse
 
 
 def test_conifold_symbol_chamber_factor_recursion():
