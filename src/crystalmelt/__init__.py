@@ -54,13 +54,7 @@ from .matrixmodel import (
     prefactor_cn,
     stabilized_toeplitz,
 )
-from .partitions import (
-    as_partition,
-    interlace_minus,
-    interlace_plus,
-    size,
-    transpose,
-)
+from .partitions import interlace_minus, interlace_plus
 from .products import (
     chamber_product,
     conifold_product,
@@ -115,7 +109,6 @@ __all__ = [
     "TruncatedSeries",
     "UnsupportedChamberError",
     "WeightedDag",
-    "as_partition",
     "binomial_factor",
     "box_budget",
     "c3_chamber",
@@ -152,7 +145,6 @@ __all__ = [
     "series_to_json_dict",
     "series_to_tsv",
     "sigma",
-    "size",
     "slice_rule",
     "spp_identity_squared",
     "spp_limit_check",
@@ -162,7 +154,6 @@ __all__ = [
     "theta_inverse",
     "theta_value",
     "toeplitz_det",
-    "transpose",
     "verify_all",
     "walker_graph",
 ]

@@ -38,7 +38,6 @@ from .errors import (
 from .serialize import (
     chamber_from_json_dict,
     chamber_to_json_dict,
-    series_from_json_dict,
     series_to_json_dict,
     series_to_tsv,
 )
@@ -108,8 +107,9 @@ class JobConfig:
         return chamber_from_json_dict(self.chamber)
 
 
-def run_job(cfg: JobConfig) -> dict:
-    """Run the configured engines and compare their series pairwise."""
+def run_job(cfg: JobConfig):
+    """Run the configured engines and compare their series pairwise; returns
+    the report and each engine's series."""
     spec = cfg.resolve_chamber()
     engines = {}
     series = {}
@@ -128,7 +128,7 @@ def run_job(cfg: JobConfig) -> dict:
     chamber_echo = cfg.chamber
     if cfg.geometry == "general":
         chamber_echo = chamber_to_json_dict(spec)
-    return {
+    report = {
         "agreement": agree,
         "config": {
             "chamber": chamber_echo,
@@ -139,6 +139,7 @@ def run_job(cfg: JobConfig) -> dict:
         "engines": engines,
         "pairwise": pairwise,
     }
+    return report, series
 
 
 def _dump_json(payload) -> str:
@@ -163,19 +164,13 @@ def _engine_command(args, default_engine: str) -> int:
         engines=engines,
         output_format=args.format,
     )
-    report = run_job(cfg)
+    report, series = run_job(cfg)
     if cfg.output_format == "tsv":
-        only = cfg.engines[0]
-        series = report["engines"][only]["series"]
-        text = _tsv_from_json_terms(series)
+        text = series_to_tsv(series[cfg.engines[0]])
     else:
         text = _dump_json(report)
     _emit(text, args.out)
     return 0 if report["agreement"] else 1
-
-
-def _tsv_from_json_terms(series_dict) -> str:
-    return series_to_tsv(series_from_json_dict(series_dict))
 
 
 def _parse_chamber(geometry: str, raw: Optional[str]):

@@ -23,7 +23,12 @@ included), which carry every path straight across: the step maps each path
 onto itself and each vertex-disjoint family onto one. Removing such a step
 therefore changes no path sum, so every path-matrix entry stays identical,
 not just the determinant, and the graph spans only the steps that keep an
-edge (_walker_window).
+edge.
+
+Step table. _walker_steps walks out from the peak once and lists each kept
+step with its slice rule and the exponent vector of its rise or drop edge;
+walker_graph builds its edges from that table and profile_bijection_check
+reads its slice rules from it.
 """
 
 from heapq import heapify, heappop, heappush
@@ -72,10 +77,6 @@ class WeightedDag:
         self.adjacency = adjacency
         self.vertices = frozenset(vertices)
 
-    @property
-    def n_paths(self):
-        return len(self.sources)
-
 
 def _topological_order(g):
     """Vertices in dependency order, always taking the smallest ready vertex."""
@@ -98,11 +99,11 @@ def _topological_order(g):
     return order
 
 
-def _least_to_sink(g, order):
-    """least[v]: the lowest total degree of any path from v to a sink, 0 at a
-    sink and infinite when no path reaches one; one backward pass over the
-    topological order."""
-    sinks = set(g.sinks)
+def _least_to_sink(g, order, sinks=None):
+    """least[v]: the lowest total degree of any path from v to one of sinks
+    (default: every sink of g), 0 at such a sink and infinite when no path
+    reaches one; one backward pass over the topological order."""
+    sinks = set(g.sinks if sinks is None else sinks)
     least = {}
     for v in reversed(order):
         if v in sinks:
@@ -297,26 +298,26 @@ def _single_peak(spec):
     return peaks[0], [w.exponents for w in weights]
 
 
-def _walker_window(peak, weights, degree):
-    """The steps t_min <= t < t_max that carry a rise or a drop edge.
+def _walker_steps(spec, peak, weights, degree):
+    """The steps that carry a rise or a drop edge, in time order, as
+    (t, slice rule, exponent vector of that edge).
 
-    Ascending step t has its rise edge when deg run(t+1..peak-1) <= degree,
-    descending step t its drop edge when deg run(peak..t) <= degree (see the
-    module docstring); both runs grow by at least 1 per slice away from the
-    peak, so the kept steps are one range, found by walking out from it.
-    Step peak-1 always stays: its run is empty.
+    Ascending step t raises at the cost of the weight run over slices
+    t+1..peak-1, descending step t drops at the cost of the run over
+    peak..t (see walker_graph). Both runs grow by at least 1 per slice away
+    from the peak (the weights are genuine), so the steps whose run stays
+    within the degree are one range, found by walking out from the peak
+    until the run passes it. Step peak-1 always stays: its run is empty.
     """
     L = len(weights)
-    unit_degrees = [sum(w) for w in weights]
-    t_min, run = peak - 1, 0
-    while run + unit_degrees[t_min % L] <= degree:
-        run += unit_degrees[t_min % L]
-        t_min -= 1
-    t_max, run = peak, 0
-    while run + unit_degrees[t_max % L] <= degree:
-        run += unit_degrees[t_max % L]
-        t_max += 1
-    return t_min, t_max
+    steps = []
+    for t, run, out in ((peak - 1, (0,) * L, -1), (peak, weights[peak % L], 1)):
+        while sum(run) <= degree:
+            steps.append((t, slice_rule(spec, t), run))
+            between = t if out < 0 else t + 1  # the slice between t and the next step out
+            run = tuple(map(add, run, weights[between % L]))
+            t += out
+    return sorted(steps, key=itemgetter(0))
 
 
 def walker_graph(spec, walkers, degree):
@@ -327,60 +328,41 @@ def walker_graph(spec, walkers, degree):
     through slices s+1..s', so it must cost prod of the slice weights over
     that range; the rise edge carries the run from s+1 up to the peak and the
     fall edge the run from the peak through s', which multiply to exactly
-    that. Edges whose monomial exceeds the cutoff are omitted (their families
-    could only contribute beyond the truncation), and so are the steps left
-    with straight edges only (the window lemma in the module docstring).
+    that. The graph spans only the steps of _walker_steps, whose runs stay
+    within the cutoff: the others have straight edges only (the window lemma
+    in the module docstring).
     """
-    return _walker_graph(spec, walkers, degree, *_single_peak(spec))
+    steps = _walker_steps(spec, *_single_peak(spec), degree)
+    return _walker_graph(spec.L, walkers, degree, steps)
 
 
-def _walker_graph(spec, walkers, degree, peak, weights):
-    """walker_graph, given the peak slice and weight exponents of _single_peak."""
+def _walker_graph(L, walkers, degree, steps):
+    """walker_graph over the step table of _walker_steps."""
     if walkers < 1:
         raise ValueError("need at least one walker")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    L = spec.L
-    t_min, t_max = _walker_window(peak, weights, degree)
     hmax = walkers - 1 + degree
     one = TruncatedSeries.one(L, degree)
-
-    def run_monomial(lo, hi):
-        exps = [0] * L
-        for u in range(lo, hi + 1):
-            wu = weights[u % L]
-            for i in range(L):
-                exps[i] += wu[i]
-        if sum(exps) > degree:
-            return None
-        return TruncatedSeries.monomial(L, degree, tuple(exps))
-
     edges = []
-    for t in range(t_min, t_max):
-        rule = slice_rule(spec, t)
-        ascending = rule.direction == "ascending"
+    for t, rule, exps in steps:
+        unit = TruncatedSeries.monomial(L, degree, exps)
+        lift = 1 if rule.direction == "ascending" else -1
         x0, x1 = 2 * t, 2 * t + 2
-        unit = run_monomial(t + 1, peak - 1) if ascending else run_monomial(peak, t)
         if rule.relation == "plus":
             for h in range(hmax + 1):
                 edges.append(((x0, h), (x1, h), one))
-                if unit is not None:
-                    if ascending and h < hmax:
-                        edges.append(((x0, h), (x1, h + 1), unit))
-                    if not ascending and h > 0:
-                        edges.append(((x0, h), (x1, h - 1), unit))
+                if 0 <= h + lift <= hmax:
+                    edges.append(((x0, h), (x1, h + lift), unit))
         else:
             rail = x0 + 1
             for h in range(hmax + 1):
                 edges.append(((x0, h), (rail, h), one))
                 edges.append(((rail, h), (x1, h), one))
-                if unit is not None:
-                    if ascending and h < hmax:
-                        edges.append(((rail, h), (rail, h + 1), unit))
-                    if not ascending and h > 0:
-                        edges.append(((rail, h), (rail, h - 1), unit))
-    sources = tuple((2 * t_min, k) for k in range(walkers))
-    sinks = tuple((2 * t_max, k) for k in range(walkers))
+                if 0 <= h + lift <= hmax:
+                    edges.append(((rail, h), (rail, h + lift), unit))
+    sources = tuple((2 * steps[0][0], k) for k in range(walkers))
+    sinks = tuple((2 * steps[-1][0] + 2, k) for k in range(walkers))
     return WeightedDag(L, degree, edges, sources, sinks)
 
 
@@ -415,24 +397,6 @@ def _gadget_moves(g, rule, x0, start):
     return out
 
 
-def _least_drop_cost(drops, excess):
-    """Least total degree that dropping `excess` units of height still costs.
-
-    drops lists (cost per unit, most units) for every descending step still
-    ahead that has a drop edge, cheapest first; the unit cap is the number of
-    walkers on a "plus" step and infinite on a "minus" step. Filling
-    the cheapest steps first is the least cost of any way to spread the drops
-    over those steps; infinite when they cannot take them all.
-    """
-    total = 0
-    for cost, most in drops:
-        if excess <= most:
-            return total + excess * cost
-        total += most * cost
-        excess -= most
-    return _NEVER if excess else total
-
-
 def _heights_to_partition(heights):
     lam = []
     for k in range(len(heights) - 1, -1, -1):
@@ -443,10 +407,10 @@ def _heights_to_partition(heights):
     return tuple(p for p in lam if p)
 
 
-def _family_verdict(rules, t_min, weights, profile, gadget_vertices, total_exp):
+def _family_verdict(steps, weights, profile, gadget_vertices, total_exp):
     """The reason one family fails the round trip, or None when it passes.
 
-    rules[i] is the slice rule of step t_min + i, profile the heights at each
+    steps is the step table of _walker_steps, profile the heights at each
     slice, gadget_vertices[i] the vertices the family uses beyond slice i and
     total_exp its weight exponent vector.
     """
@@ -464,17 +428,15 @@ def _family_verdict(rules, t_min, weights, profile, gadget_vertices, total_exp):
     if lams[0] or lams[-1]:
         return "configuration not empty at the window edge"
     class_counts = [0] * L
-    for idx in range(len(lams) - 1):
-        t = t_min + idx
-        rule = rules[idx]
+    for (t, rule, _), before, after in zip(steps, lams, lams[1:]):
         rel = interlace_plus if rule.relation == "plus" else interlace_minus
         if rule.direction == "ascending":
-            ok = rel(lams[idx + 1], lams[idx])
+            ok = rel(after, before)
         else:
-            ok = rel(lams[idx], lams[idx + 1])
+            ok = rel(before, after)
         if not ok:
             return "interlacing rule violated"
-        class_counts[(t + 1) % L] += sum(lams[idx + 1])
+        class_counts[(t + 1) % L] += sum(after)
     mapped = [0] * L
     for cls in range(L):
         for i in range(L):
@@ -482,19 +444,14 @@ def _family_verdict(rules, t_min, weights, profile, gadget_vertices, total_exp):
     if tuple(mapped) != total_exp:
         return "family weight disagrees with the configuration weight"
     # rebuild the paths from the profile and compare vertex sets
-    for idx in range(len(profile) - 1):
-        rule = rules[idx]
-        x0 = 2 * (t_min + idx)
+    for (t, rule, _), before, after, used in zip(steps, profile, profile[1:], gadget_vertices):
+        x0 = 2 * t
         rebuilt = set()
-        for k in range(walkers):
-            h0, h1 = profile[idx][k], profile[idx + 1][k]
-            if rule.relation == "plus":
-                rebuilt.add((x0 + 2, h1))
-            else:
-                lo, hi = min(h0, h1), max(h0, h1)
-                rebuilt.update((x0 + 1, h) for h in range(lo, hi + 1))
-                rebuilt.add((x0 + 2, h1))
-        if rebuilt != gadget_vertices[idx]:
+        for h0, h1 in zip(before, after):
+            if rule.relation == "minus":
+                rebuilt.update((x0 + 1, h) for h in range(min(h0, h1), max(h0, h1) + 1))
+            rebuilt.add((x0 + 2, h1))
+        if rebuilt != used:
             return "profile does not rebuild the original paths"
     return None
 
@@ -509,126 +466,93 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     enumerate_z. A failure returns a falsy diagnostic carrying the first
     offending family.
 
-    The families are listed by a depth-first search over the slices that
-    moves every walker across one step at a time and hands each family that
-    closes on the ground state (0, 1, ..., N-1) within the degree budget to
-    the per-family verdict. Two exact cuts keep it from exploring branches
-    that cannot get there; neither removes a family that can.
+    The families are listed by a depth-first search over the steps of
+    _walker_steps that moves every walker across one step at a time and
+    hands each family that closes on the ground state (0, 1, ..., N-1)
+    within the degree budget to the per-family verdict. One exact bound
+    keeps it from exploring branches that cannot get there; it removes no
+    family that can.
 
-    Lookahead lemma. Heights are strictly increasing and >= 0, so h_k >= k,
-    and the excess sum_k (h_k - k) at slice t is |lambda(t)|; at the ground
-    state it is 0. Heights rise only on ascending steps and fall only on
-    descending ones, so any continuation from slice t drops at least
-    |lambda(t)| units of height at descending steps t' >= t (more if it
-    rises again first). One unit dropped at t' crosses one edge of weight
-    run_monomial(peak, t'), of degree c(t') = sum_{u=peak..t'} deg w_u, and
-    that edge exists only when c(t') <= degree. The weights are genuine
-    (_single_peak), so each deg w_u >= 1: c(t') >= 1 and it never decreases
-    as t' grows, so the cheapest drop ahead, c_min(t), is the nearest one,
-    and no continuation can finish for less than |lambda(t)| * c_min(t). A
-    "plus" step moves each walker by at most one, so it takes at most N
-    units, and the bound used is the sharper greedy one: fill the cheapest
-    steps ahead first, N units per "plus" step, any number per "minus" step
-    (_least_drop_cost, infinite when the steps ahead cannot take them all).
-    Every edge weight is a monomial with non-negative exponents, so a
-    family's degree is its degree so far plus at least the cost of its drops
-    still ahead. A node whose degree so far plus the bound exceeds the budget
-    therefore has no family of degree <= degree below it, and it is not
-    entered. So the families that reach the verdict are exactly those the
-    unpruned search would reach: the budget and the ground state are still
-    checked in full at the last slice.
-
-    Early cut. The same genuine weights make every move's exponents
-    non-negative, so each walker's move adds its degree to the step's and
-    never takes any away: a partial set of moves whose degree already
-    exceeds the budget cannot complete into a family within it, and the
-    remaining walkers are not tried.
+    Sink bound lemma. Walker k ends at sink k, so from vertex v its path
+    still costs at least least_k[v], the least degree of any path from v to
+    sink k (_least_to_sink run towards sink k only). Every edge weight is a
+    monomial with non-negative exponents (the weights are genuine), so
+    degrees only add up along a path, and any family completing a partial
+    set of moves has degree at least the degree spent so far, plus, for each
+    walker already moved, its move's degree and least_k from where it
+    landed, plus, for each walker not yet moved, least_k from where it
+    stands. A partial set of moves is extended only while that sum stays
+    within the budget, so the families that reach the verdict are exactly
+    those the unpruned search would reach. The search carries the budget
+    less that sum as room: moving walker k from v to w at degree delta
+    takes delta + least_k[w] - least_k[v] from it, never a negative amount.
+    At the last slice least_k is 0 at sink k and infinite at every other
+    sink, so the bound also holds the walkers to the ground state there, and
+    since it includes each move's degree it also cuts any partial set of
+    moves that already spends more than the budget. Nor is it weaker than
+    a bound that spreads the height still to drop over the steps ahead,
+    cheapest first and at most N units per "plus" step: each walker's
+    cheapest schedule on its own drops its own excess and puts at most one
+    unit on a "plus" step, so together they are one such spread.
 
     node_guard caps the number of nodes entered; past it the search raises
     OracleTooLargeError.
     """
     peak, weights = _single_peak(spec)
-    g = _walker_graph(spec, walkers, degree, peak, weights)
-    L = spec.L
-    t_min, t_max = _walker_window(peak, weights, degree)
-    rules = [slice_rule(spec, t) for t in range(t_min, t_max)]
+    steps = _walker_steps(spec, peak, weights, degree)
+    g = _walker_graph(spec.L, walkers, degree, steps)
+    order = _topological_order(g)
+    least = [_least_to_sink(g, order, (b,)) for b in g.sinks]
     ground = tuple(range(walkers))
-    ground_sum = sum(ground)
-    budget = degree
     visited = 0
-    moves = {}  # (x0, start) -> moves with their degrees, the same at every visit
+    moves = {}  # (walker, x0, start) -> moves with what they add to the bound
     failures = []
 
-    # ahead[i]: the drop steps at or after slice t_min + i, as _least_drop_cost takes them
-    unit_degrees = [sum(w) for w in weights]
-    drops = []
-    ahead = [()] * (t_max - t_min + 1)
-    for t in range(t_max - 1, t_min - 1, -1):
-        rule = rules[t - t_min]
-        if rule.direction == "descending":
-            cost = sum(unit_degrees[u % L] for u in range(peak, t + 1))
-            if cost <= degree:
-                drops.append((cost, walkers if rule.relation == "plus" else _NEVER))
-                drops.sort()
-        ahead[t - t_min] = tuple(drops)
-    least = {}  # (slice, excess) -> _least_drop_cost
-
-    def advance(t, heights, spent, spent_deg, profile, gadget_vertices):
+    def advance(i, heights, spent, room, profile, gadget_vertices):
+        # room: the budget less the bound of the lemma at this node
         nonlocal visited
         visited += 1
         if visited > node_guard:
             raise OracleTooLargeError("bijection sweep exceeded the node guard")
-        if t == t_max:
-            if heights != ground:
-                return
-            verdict = _family_verdict(rules, t_min, weights, profile, gadget_vertices, spent)
+        if i == len(steps):
+            verdict = _family_verdict(steps, weights, profile, gadget_vertices, spent)
             if verdict is not None:
                 failures.append((verdict, profile))
             return
-        rule = rules[t - t_min]
+        t, rule, _ = steps[i]
         x0 = 2 * t
         options = []
-        for h in heights:
-            got = moves.get((x0, h))
+        for k, h in enumerate(heights):
+            got = moves.get((k, x0, h))
             if got is None:
-                got = moves[x0, h] = [
-                    (h1, verts, exps, sum(exps))
+                here = least[k][x0, h]
+                got = moves[k, x0, h] = [
+                    (h1, verts, exps, sum(exps) + least[k][x0 + 2, h1] - here)
                     for h1, verts, exps in _gadget_moves(g, rule, x0, h)
                 ]
             options.append(got)
-        room = budget - spent_deg
-        t1 = t + 1
 
-        def pick(k, chosen_next, used, exp_acc, deg_acc):
+        def pick(k, chosen_next, used, exp_acc, room):
             if k == walkers:
-                key = (t1, sum(chosen_next) - ground_sum)
-                need = least.get(key)
-                if need is None:
-                    need = least[key] = _least_drop_cost(ahead[t1 - t_min], key[1])
-                if deg_acc + need <= room:
-                    advance(
-                        t1,
-                        tuple(chosen_next),
-                        tuple(a + b for a, b in zip(spent, exp_acc)),
-                        spent_deg + deg_acc,
-                        profile + [tuple(chosen_next)],
-                        gadget_vertices + [frozenset(used)],
-                    )
-                return
-            for h1, verts, exps, deg in options[k]:
-                if deg_acc + deg > room or used & verts:
-                    continue
-                pick(
-                    k + 1,
-                    chosen_next + [h1],
-                    used | verts,
-                    tuple(a + b for a, b in zip(exp_acc, exps)),
-                    deg_acc + deg,
+                advance(
+                    i + 1,
+                    tuple(chosen_next),
+                    tuple(map(add, spent, exp_acc)),
+                    room,
+                    profile + [tuple(chosen_next)],
+                    gadget_vertices + [frozenset(used)],
                 )
+                return
+            for h1, verts, exps, cost in options[k]:
+                if cost > room or used & verts:
+                    continue
+                exp_next = tuple(map(add, exp_acc, exps))
+                pick(k + 1, chosen_next + [h1], used | verts, exp_next, room - cost)
 
-        pick(0, [], frozenset(), (0,) * L, 0)
+        pick(0, [], frozenset(), (0,) * spec.L, room)
 
-    advance(t_min, ground, (0,) * L, 0, [ground], [])
+    room = degree - sum(least[k][a] for k, a in enumerate(g.sources))
+    advance(0, ground, (0,) * spec.L, room, [ground], [])
     if failures:
         return _BijectionFailure(failures[0])
     return True

@@ -5,27 +5,6 @@ zeros are implicit, so comparisons pad with zeros as needed.
 """
 
 
-def as_partition(parts):
-    """Normalize a sequence into a partition tuple, validating monotonicity."""
-    lam = tuple(int(p) for p in parts if p)
-    if any(p < 0 for p in lam):
-        raise ValueError("partition parts must be non-negative")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError("partition parts must be non-increasing")
-    return lam
-
-
-def size(lam):
-    return sum(lam)
-
-
-def transpose(lam):
-    """Conjugate diagram: column lengths of the Young diagram of lam."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
-
-
 def interlace_plus(lam, mu):
     """lam >=+ mu: lam_i - mu_i in {0, 1} for every row (implicit zeros)."""
     if len(mu) > len(lam):

@@ -13,7 +13,7 @@ Clean-terms invariant: a series stores only exponent tuples of length
 num_vars with non-negative entries and total degree <= cutoff, each with a
 non-zero coefficient. The public constructor validates and normalises its
 input to that form. Every ring operation (+, -, unary -, *, **, invert,
-truncate, substitute, binomial_factor) combines terms that are already clean,
+truncate, binomial_factor) combines terms that are already clean,
 keeps only keys within the cutoff and drops coefficients that cancel, so it
 builds its result with the private TruncatedSeries._trusted, which stores the
 dict as given without checking it again.
@@ -225,33 +225,6 @@ class TruncatedSeries:
             inv_parts[d] = {e: -c0 * c for e, c in acc.items() if c}
         terms = {e: c for part in inv_parts.values() for e, c in part.items()}
         return TruncatedSeries._trusted(self.num_vars, self.cutoff, terms)
-
-    def substitute(self, images, num_vars_out: int) -> "TruncatedSeries":
-        """Monomial substitution q_i -> q^images[i] into a ring with the same cutoff.
-
-        Each image must have total degree >= 1, which makes truncation at the
-        shared cutoff sound: a dropped source term could only produce terms
-        beyond the cutoff.
-        """
-        images = [tuple(img) for img in images]
-        if len(images) != self.num_vars:
-            raise ValueError("need one image per variable")
-        for img in images:
-            if len(img) != num_vars_out or any(e < 0 for e in img):
-                raise ValueError(f"bad image {img}")
-            if sum(img) < 1:
-                raise ValueError("images must have total degree >= 1")
-        out: dict = {}
-        for exps, coef in self.terms.items():
-            key = tuple(
-                sum(exps[i] * images[i][v] for i in range(self.num_vars))
-                for v in range(num_vars_out)
-            )
-            if sum(key) <= self.cutoff:
-                out[key] = out.get(key, 0) + coef
-        # distinct source terms can share an image and cancel there
-        terms = {e: c for e, c in out.items() if c}
-        return TruncatedSeries._trusted(num_vars_out, self.cutoff, terms)
 
 
 def binomial_factor(num_vars: int, cutoff: int, exps, exponent: int, sign: int = 1) -> TruncatedSeries:

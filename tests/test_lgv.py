@@ -20,6 +20,7 @@ from crystalmelt import (
     path_matrix,
     profile_bijection_check,
     random_layered_dag,
+    slice_rule,
     walker_graph,
 )
 from crystalmelt import UnsupportedChamberError, WeightedDag, lgv
@@ -81,7 +82,7 @@ def test_single_walker_bruteforce_equals_matrix_entry():
     rng = random.Random(52)
     for _ in range(20):
         g = random_layered_dag(rng)
-        if g.n_paths != 1:
+        if len(g.sources) != 1:
             continue
         assert nonintersecting_bruteforce(g) == path_matrix(g)[0][0]
 
@@ -256,7 +257,7 @@ def test_profile_bijection_finds_the_peak_once(monkeypatch):
 
 def families_checked(monkeypatch):
     """For c3 and theta_0, walkers 1-4 and degree 0-4: (case, families that
-    reach the per-family verdict, families the path determinant counts)."""
+    reach the per-family verdict, families the row-restricted sweep counts)."""
     seen = []
     verdict = lgv._family_verdict
 
@@ -272,7 +273,7 @@ def families_checked(monkeypatch):
                 seen.clear()
                 assert profile_bijection_check(spec, walkers, degree)
                 # every family is a monomial of coefficient 1 and degree <= degree
-                total = sum(lgv_det(walker_graph(spec, walkers, degree)).terms.values())
+                total = sum(enumerate_z_rows(spec, degree, walkers).terms.values())
                 out.append(((spec.L, walkers, degree), len(seen), total))
     return out
 
@@ -283,16 +284,54 @@ def test_pruned_bijection_check_reaches_every_family(monkeypatch):
 
 
 def test_over_eager_bijection_lookahead_is_caught(monkeypatch):
-    # one degree more than the true bound cuts the families that spend the
-    # whole budget, which the completeness count must notice
-    true_bound = lgv._least_drop_cost
-    monkeypatch.setattr(lgv, "_least_drop_cost", lambda *args: true_bound(*args) + 1)
+    # one degree more than the least degree to a sink, away from that sink,
+    # cuts the families that spend the whole budget, which the completeness
+    # count must notice; path_matrix takes every sink at once and is left alone
+    least = lgv._least_to_sink
+
+    def eager(g, order, sinks=None):
+        exact = least(g, order, sinks)
+        if sinks is None:
+            return exact
+        return {v: x + (v not in sinks) for v, x in exact.items()}
+
+    monkeypatch.setattr(lgv, "_least_to_sink", eager)
     assert any(reached < total for _, reached, total in families_checked(monkeypatch))
 
 
-def wide_window(peak, weights, degree):
-    """The window the walker graphs spanned before it was derived: +-(D+2)L."""
-    return -(degree + 2) * len(weights), (degree + 2) * len(weights)
+def test_bijection_search_size_is_pinned():
+    # node counts of the two-cut search this bound replaced; the sink bound
+    # is never weaker, so it must fit in each
+    for spec, walkers, degree, nodes in (
+        (c3_chamber(), 3, 3, 47),
+        (conifold_theta(0), 4, 4, 98),
+        (c3_chamber(), 6, 6, 609),
+    ):
+        assert profile_bijection_check(spec, walkers, degree, node_guard=nodes)
+
+
+def wide_steps(spec, peak, weights, degree):
+    """The steps the walker graphs spanned before the window was derived,
+    -(D+2)L <= t < (D+2)L, each with the exponents of its rise or drop run
+    even where that run's degree exceeds the cutoff."""
+    L = len(weights)
+
+    def run(lo, hi):
+        return tuple(sum(weights[u % L][i] for u in range(lo, hi + 1)) for i in range(L))
+
+    steps = []
+    for t in range(-(degree + 2) * L, (degree + 2) * L):
+        rule = slice_rule(spec, t)
+        ascending = rule.direction == "ascending"
+        steps.append((t, rule, run(t + 1, peak - 1) if ascending else run(peak, t)))
+    return steps
+
+
+def without_zero_edges(num_vars, cutoff, edges, sources, sinks):
+    """WeightedDag less the edges whose weight truncated to zero, as the
+    graphs of the wide window left out the runs beyond the cutoff."""
+    kept = [edge for edge in edges if edge[2].terms]
+    return WeightedDag(num_vars, cutoff, kept, sources, sinks)
 
 
 def window_cases():
@@ -317,11 +356,12 @@ def walker_outputs(monkeypatch, spec, walkers, degree):
     seen = []
     verdict = lgv._family_verdict
 
-    def recording(rules, t_min, weights, profile, gadget_vertices, total_exp):
+    def recording(steps, weights, profile, gadget_vertices, total_exp):
         ground = profile[0]
+        t_min = steps[0][0]
         slices = tuple((t_min + i, h) for i, h in enumerate(profile) if h != ground)
         seen.append((total_exp, slices))
-        return verdict(rules, t_min, weights, profile, gadget_vertices, total_exp)
+        return verdict(steps, weights, profile, gadget_vertices, total_exp)
 
     with monkeypatch.context() as m:
         m.setattr(lgv, "_family_verdict", recording)
@@ -334,24 +374,22 @@ def test_derived_walker_window_changes_no_path_sum(monkeypatch):
     for spec, walkers, degree in window_cases():
         derived = walker_outputs(monkeypatch, spec, walkers, degree)
         with monkeypatch.context() as m:
-            m.setattr(lgv, "_walker_window", wide_window)
+            m.setattr(lgv, "_walker_steps", wide_steps)
+            m.setattr(lgv, "WeightedDag", without_zero_edges)
             wide = walker_outputs(m, spec, walkers, degree)
         assert derived == wide, (spec, walkers, degree)
 
 
 def test_walker_window_one_step_short_is_caught(monkeypatch):
-    window = lgv._walker_window
-    for short in (
-        lambda *args: (window(*args)[0] + 1, window(*args)[1]),
-        lambda *args: (window(*args)[0], window(*args)[1] - 1),
-    ):
+    steps = lgv._walker_steps
+    for short in (lambda *args: steps(*args)[1:], lambda *args: steps(*args)[:-1]):
         changed = False
         for spec in (c3_chamber(), conifold_theta(0)):
             for walkers in (1, 2, 3):
                 for degree in range(1, 5):
                     derived = path_matrix(walker_graph(spec, walkers, degree))
                     with monkeypatch.context() as m:
-                        m.setattr(lgv, "_walker_window", short)
+                        m.setattr(lgv, "_walker_steps", short)
                         changed |= path_matrix(walker_graph(spec, walkers, degree)) != derived
         assert changed
 

@@ -100,7 +100,6 @@ def test_ring_operations_build_clean_terms():
         u = random_series(rng, nv, d, unit=True)
         k = rng.randint(-3, 3)
         a_terms, b_terms = dict(a.terms), dict(b.terms)
-        images = [degree_one_or_more(rng, nv) for _ in range(nv)]
         exps = degree_one_or_more(rng, nv)
         results = [
             a + b,
@@ -117,7 +116,6 @@ def test_ring_operations_build_clean_terms():
             u ** -rng.randint(1, 2),
             u.invert(),
             a.truncate(rng.randint(0, d)),
-            a.substitute(images, nv),
             binomial_factor(nv, d, exps, rng.randint(-3, 3), sign=rng.choice((1, -1))),
         ]
         for r in results:
@@ -135,11 +133,6 @@ def test_ring_operations_build_clean_terms():
             assert r == one - q * q
             assert_clean(r.truncate(min(d, 1)))
             assert r.truncate(min(d, 1)) == one.truncate(min(d, 1))
-    # q0 - q1 vanishes when both variables map to the same image
-    f = TruncatedSeries(2, 4, {(1, 0): 1, (0, 1): -1, (2, 0): 3})
-    g = f.substitute([(1, 1), (1, 1)], 2)
-    assert_clean(g)
-    assert g.terms == {(2, 2): 3}
 
 
 def test_public_entry_points_still_validate():
@@ -153,8 +146,6 @@ def test_public_entry_points_still_validate():
         binomial_factor(1, -1, (1,), 1)
     with pytest.raises(ValueError):
         TruncatedSeries.one(1, 3).truncate(-1)
-    with pytest.raises(ValueError):
-        TruncatedSeries.one(2, 3).substitute([(1,), (1,)], 2)
 
 
 def test_pow():
@@ -202,17 +193,6 @@ def test_invert_requires_unit_constant_term():
         TruncatedSeries.monomial(1, 4, (1,)).invert()
     with pytest.raises(NotInvertibleError):
         TruncatedSeries(1, 4, {(0,): 2}).invert()
-
-
-def test_substitute_diagonal():
-    # q -> q0*q1 sends degree-k terms to the (k,k) diagonal
-    f = TruncatedSeries(1, 4, {(0,): 1, (1,): 5, (2,): -3})
-    g = f.substitute([(1, 1)], 2)
-    assert g.coefficient((0, 0)) == 1
-    assert g.coefficient((1, 1)) == 5
-    assert g.coefficient((2, 2)) == -3
-    with pytest.raises(ValueError):
-        f.substitute([(0, 0)], 2)
 
 
 def test_binomial_factor_geometric_series():
