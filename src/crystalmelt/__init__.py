@@ -66,7 +66,6 @@ from .products import (
 from .serialize import (
     chamber_from_json_dict,
     chamber_to_json_dict,
-    series_from_json_dict,
     series_to_json_dict,
     series_to_tsv,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "random_curve_params",
     "random_layered_dag",
     "s3_equivariance_check",
-    "series_from_json_dict",
     "series_to_json_dict",
     "series_to_tsv",
     "sigma",

@@ -3,10 +3,11 @@
 A configuration is a bi-infinite partition sequence, empty at both ends,
 obeying the chamber's interlacing rule at every step. The sweep walks the
 finite window that can carry boxes in three stages. It first walks the
-partitions alone under the box budget and records the kept steps between
-them; then it bounds, per partition, the degree still to come; last it runs a
-frontier of states (current partition, boxes spent per slice class, total
-boxes, degree so far) with multiplicity counts over the recorded steps only.
+partitions alone under the box budget and the degree and records the kept
+steps between them; then it bounds, per partition, the degree still to come;
+last it runs a frontier of states (current partition, boxes spent per slice
+class, total boxes, degree so far) with multiplicity counts over the recorded
+steps only.
 
 Budget: with genuine weight monomials every box costs at least one unit of
 total degree, so "boxes <= D" is exact. Chambers of the conifold theta_n
@@ -36,20 +37,51 @@ Degree lookahead: a configuration's monomial has total degree
 sum_t W_t |lam_t|, where W_t is the total degree of the weight of slice t's
 class, and it is kept only when that sum is at most D. The first stage keeps
 each step mu -> nu whose least-future room admits the least boxes spent over
-all histories of mu. No single history spends fewer, so every step the last
-stage can take under the same room is recorded. One backward min-plus pass
-over the recorded steps gives least_degree(t, nu): the least
+all recorded histories of mu and that passes the potential test below. No
+single history spends fewer, so every step the last stage can take under the
+same room is recorded. One backward min-plus pass over the recorded steps
+gives least_degree(t, nu): the least
 sum_{t' > t} W_t' |lam_t'| over recorded paths from nu to a closing partition,
 infinite if none. A minimum over a superset of the real continuations is a
 lower bound on the degree any continuation still adds. So a state whose degree
 so far plus W_t |nu| plus least_degree(t, nu) exceeds D has no completion of
 degree <= D, and dropping it removes only configurations that the final degree
-filter would drop anyway: the result is the same as without the bound. The
-box budget stays as the cap that keeps the first stage's graph finite.
+filter would drop anyway: the result is the same as without the bound.
+
+Potential: let P(t) = sum W_s over the window's slices s <= t, so the step t
+between slices t and t+1 sees P(t), and the step into the window sees 0. Take
+a constant c with P(t) <= c on every ascending step and P(t) >= c on every
+descending one, and give step t the cost e_t = c - P(t) if it ascends and
+P(t) - c if it descends; every e_t is >= 0. With a_t = |lam_t|, 0 outside the
+window, summation by parts gives
+
+    sum_t W_t a_t = sum_t P(t) (a_t - a_{t+1}) = sum_t e_t |a_{t+1} - a_t|,
+
+since the differences a_t - a_{t+1} sum to 0 (so c may be subtracted) and
+sizes only grow on ascending steps and only shrink on descending ones. So a
+configuration's degree is the potential it pays step by step, and no step
+pays a negative amount. After step t the |nu| boxes it leaves must still be
+dropped: the drops after t exceed the rises by exactly |nu|, each drop costs at
+least m_{>t}, the least e over the descending steps after t, and a rise costs
+>= 0. Every configuration through the step mu -> nu at t therefore has degree
+at least paid(mu) + e_t ||nu| - |mu|| + m_{>t} |nu|, for any paid(mu) at most
+the potential its history paid up to mu. The first stage carries, next to the
+least boxes, the least potential paid over the recorded histories of each
+partition and drops the step when that sum exceeds D. By induction over t,
+every step of a configuration of degree <= D is recorded: its history's steps
+are, so the least paid(mu) is at most what that history paid, and the test
+passes on its degree. Hence the graph records every step of every
+configuration of degree <= D, and the second stage's least degree over it is
+still a lower bound on the degree such a configuration adds. On an ascending
+step the test reads (e_t + m_{>t}) |nu| <= D - paid(mu) + e_t |mu|, which caps
+the successors generated. The choice of c changes nothing: moving c by k moves
+paid(nu) by k |nu| and m_{>t} by -k. Where no c fits, every e_t is 0 and the
+test never fires. A step with e_t = 0 costs nothing, so the box budget stays as
+the cap that keeps the first stage's graph finite.
 """
 
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import accumulate, groupby, product
 
 from .chambers import chamber_weights, conifold_index, peak_slices, slice_rule
 from .errors import UnsupportedChamberError
@@ -220,35 +252,60 @@ def _least_degree(graph, weights, ends):
     return least
 
 
-def _sweep(spec, degree, budget, transposed, max_rows, window=None):
-    L = spec.L
-    lo, hi = window if window is not None else sweep_window(spec, degree, budget)
-    rules = []
-    for i in range(lo - 1, hi + 1):
-        rule = slice_rule(spec, i)
-        rules.append(rule.flipped() if transposed else rule)
-    # steps[j] leaves slice lo + j; the last one is the step out of the window
-    steps = [_least_step(rule) for rule in rules[1:]]
-    memo = {}
-    classes = [s % L for s in range(lo, hi + 1)]
-    total_degree = [w.total_degree for w in chamber_weights(spec)]
-    weights = [total_degree[c] for c in classes]
+def _potential_table(rules, weights):
+    """Potential costs of the window's steps (module docstring). rules[j] is
+    the step into slice j and weights[j] the total degree of that slice's
+    weight. Returns (pot, after): pot[j] is the cost e of one box risen or
+    dropped at step j, all 0 when no constant c fits, and after[j] the least
+    pot over the descending steps after j, 0 if there is none."""
+    prefix = list(accumulate(weights, initial=0))  # P at each step
+    up = [rule.direction == "ascending" for rule in rules]
+    c = max((p for p, ascends in zip(prefix, up) if ascends), default=0)
+    if any(p < c for p, ascends in zip(prefix, up) if not ascends):
+        pot = [0] * len(rules)
+    else:
+        pot = [c - p if ascends else p - c for p, ascends in zip(prefix, up)]
+    after = []
+    least = _NEVER
+    for e, ascends in zip(reversed(pot), reversed(up)):
+        after.append(0 if least == _NEVER else least)
+        if not ascends:
+            least = min(least, e)
+    after.reverse()
+    return pot, after
 
-    # stage 1: the partition graph under the box budget, carrying only the
-    # least boxes spent per partition; graph[i] holds the edges into slice lo + i
+
+def _partition_graph(rules, weights, degree, budget, max_rows):
+    """Stage 1: the partition graph under the box budget and the degree,
+    carrying per partition only the least boxes spent and the least potential
+    paid over its recorded histories (module docstring). rules[i] is the step
+    into slice i of the window. Returns (graph, spent): graph[i] maps each
+    partition at slice i - 1 to its recorded edges (nu, boxes, room) into
+    slice i, and spent maps the partitions of the last slice to their least
+    boxes."""
+    # steps[j] leaves slice j; the last one is the step out of the window
+    steps = [_least_step(rule) for rule in rules[1:]]
+    pot, after = _potential_table(rules, weights)
+    memo = {}
     graph = []
     spent = {(): 0}
+    paid = {(): 0}
     for i, rule in enumerate(rules[:-1]):
         ascending = rule.direction == "ascending"
         plus = rule.relation == "plus"
+        e, m = pot[i], after[i]
         edges_of = {}
-        new = {}
+        new, new_paid = {}, {}
         rooms = {}  # successor -> (its boxes, most boxes its predecessors may have spent)
         for mu, least_spent in spent.items():
+            least_paid = paid[mu]
+            size = sum(mu)
             edges = edges_of[mu] = []
             if ascending:
                 # every successor contains mu, so its future is at least mu's
                 cap = budget - least_spent - least_future(steps, i, mu, memo)
+                if e + m:
+                    cap = min(cap, (degree - least_paid + e * size) // (e + m))
                 if cap < 0:
                     continue
                 succs = _succ_grow_plus(mu, cap) if plus else _succ_grow_minus(mu, cap)
@@ -264,12 +321,33 @@ def _sweep(spec, degree, budget, transposed, max_rows, window=None):
                 boxes, room = sized
                 if least_spent > room:
                     continue
+                reached_paid = least_paid + e * abs(boxes - size)
+                if reached_paid + m * boxes > degree:
+                    continue
                 edges.append((nu, boxes, room))
                 reached = least_spent + boxes
                 if new.get(nu, _NEVER) > reached:
                     new[nu] = reached
+                if new_paid.get(nu, _NEVER) > reached_paid:
+                    new_paid[nu] = reached_paid
         graph.append(edges_of)
-        spent = new
+        spent, paid = new, new_paid
+    return graph, spent
+
+
+def _sweep(spec, degree, budget, transposed, max_rows, window=None):
+    L = spec.L
+    lo, hi = window if window is not None else sweep_window(spec, degree, budget)
+    rules = []
+    for i in range(lo - 1, hi + 1):
+        rule = slice_rule(spec, i)
+        rules.append(rule.flipped() if transposed else rule)
+    classes = [s % L for s in range(lo, hi + 1)]
+    total_degree = [w.total_degree for w in chamber_weights(spec)]
+    weights = [total_degree[c] for c in classes]
+
+    # stage 1: the partition graph; graph[i] holds the edges into slice lo + i
+    graph, spent = _partition_graph(rules, weights, degree, budget, max_rows)
 
     # stage 2: the least degree any recorded continuation still adds
     closing = rules[-1]

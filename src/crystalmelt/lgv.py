@@ -369,27 +369,27 @@ def _walker_graph(L, walkers, degree, steps):
 def _gadget_moves(g, rule, x0, start):
     """All ways one walker crosses the step starting at column x0 from height
     start, straight from the adjacency lists: (end height, vertices used
-    beyond the start, weight exponent vector)."""
-    L = g.num_vars
-    zero_exp = (0,) * L
+    beyond the start, weight exponent vector). An edge whose weight truncated
+    to zero adds nothing to any path sum, so no move takes it."""
 
-    def exp_of(w):
-        terms = list(w.terms.items())
-        return terms[0][0] if terms else zero_exp
+    def edges(v):
+        for head, w in g.adjacency.get(v, ()):
+            if w.terms:
+                yield head, next(iter(w.terms))
 
     out = []
     if rule.relation == "plus":
-        for head, w in g.adjacency.get((x0, start), ()):
-            out.append((head[1], frozenset([head]), exp_of(w)))
+        for head, exps in edges((x0, start)):
+            out.append((head[1], frozenset([head]), exps))
         return out
-    for mid, w_in in g.adjacency.get((x0, start), ()):
+    for mid, exps_in in edges((x0, start)):
         if mid[0] != x0 + 1:
             continue
-        stack = [(mid, [mid], exp_of(w_in))]
+        stack = [(mid, [mid], exps_in)]
         while stack:
             v, seen, acc = stack.pop()
-            for head, w in g.adjacency.get(v, ()):
-                exps = tuple(a + b for a, b in zip(acc, exp_of(w)))
+            for head, step in edges(v):
+                exps = tuple(a + b for a, b in zip(acc, step))
                 if head[0] == x0 + 2:
                     out.append((head[1], frozenset(seen + [head]), exps))
                 elif head[0] == x0 + 1:

@@ -20,17 +20,6 @@ def series_to_json_dict(series: TruncatedSeries) -> dict:
     }
 
 
-def series_from_json_dict(data: dict) -> TruncatedSeries:
-    num_vars = len(data["vars"])
-    terms = {}
-    for term in data["terms"]:
-        exp = tuple(int(e) for e in term["exp"])
-        if len(exp) != num_vars:
-            raise ValueError("exponent arity disagrees with the vars list")
-        terms[exp] = int(term["coef"])
-    return TruncatedSeries(num_vars, int(data["cutoff"]), terms)
-
-
 def series_to_tsv(series: TruncatedSeries) -> str:
     columns = [f"exp_{i}" for i in range(series.num_vars)] + ["coefficient"]
     lines = ["\t".join(columns)]

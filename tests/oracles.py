@@ -1,4 +1,5 @@
-"""Independent reference computations used to pin expected test values.
+"""Independent reference computations used to pin expected test values,
+and the reader side of the series JSON round trip.
 
 Everything in this file is written from first principles and imports nothing
 from the package, so expectations frozen from these oracles cannot inherit a
@@ -91,3 +92,17 @@ def is_horizontal_strip(lam, mu):
         if not (0 <= lam_t[j] - m <= 1):
             return False
     return True
+
+
+def read_series_json(data):
+    """The (number of variables, cutoff, terms) a series JSON dict describes:
+    the reader side of the JSON round trip. An exponent vector whose length
+    differs from the vars list raises ValueError."""
+    num_vars = len(data["vars"])
+    terms = {}
+    for term in data["terms"]:
+        exp = tuple(int(e) for e in term["exp"])
+        if len(exp) != num_vars:
+            raise ValueError("exponent arity disagrees with the vars list")
+        terms[exp] = int(term["coef"])
+    return num_vars, int(data["cutoff"]), terms

@@ -20,6 +20,7 @@ from crystalmelt import (
     enumerate_z_transposed,
     lgv_det,
     macmahon,
+    slice_rule,
     sweep_window,
     walker_graph,
 )
@@ -263,6 +264,115 @@ def test_single_peak_general_chambers_agree_across_routes():
             z = enumerate_z(spec, d)
             assert z == enumerate_z_transposed(spec, d), rho
             assert z == lgv_det(walker_graph(spec, d, d)), rho
+
+
+def _potential_chambers():
+    """theta_0..theta_6, c3 and the identity chambers with L = 3, 4."""
+    specs = [conifold_theta(n) for n in range(7)] + [c3_chamber()]
+    for L in (3, 4):
+        for rho in itertools.product((1, -1), repeat=L):
+            specs.append(ChamberSpec(L, rho, tuple(range(1, 2 * L, 2))))
+    return specs
+
+
+def _window_steps(spec, d):
+    """The sweep's step rules (into each slice of its window, then out of it)
+    and each slice's weight degree, as _sweep builds them."""
+    lo, hi = sweep_window(spec, d, box_budget(spec, d))
+    rules = [slice_rule(spec, t) for t in range(lo - 1, hi + 1)]
+    total = [w.total_degree for w in chamber_weights(spec)]
+    return rules, [total[s % spec.L] for s in range(lo, hi + 1)]
+
+
+def _brute_configurations(rules, max_boxes):
+    """Slice sizes of every configuration of the window with at most
+    max_boxes boxes in all, by a search over every partition of the pool."""
+    pool = all_partitions_up_to(max_boxes)
+
+    def fits(rule, mu, nu):
+        rel = interlace_plus if rule.relation == "plus" else interlace_minus
+        return rel(nu, mu) if rule.direction == "ascending" else rel(mu, nu)
+
+    def walk(i, mu, sizes):
+        if i == len(rules) - 1:
+            if fits(rules[i], mu, ()):
+                yield sizes
+            return
+        for nu in pool:
+            if sum(sizes) + sum(nu) <= max_boxes and fits(rules[i], mu, nu):
+                yield from walk(i + 1, nu, sizes + [sum(nu)])
+
+    return walk(0, (), [])
+
+
+def test_potential_table_prices_every_configuration_at_its_degree():
+    for spec in _potential_chambers():
+        for d in (1, 3):
+            rules, weights = _window_steps(spec, d)
+            pot, after = enumeration._potential_table(rules, weights)
+            assert min(pot) >= 0 and min(after) >= 0, (spec, d)
+            seen = 0
+            for sizes in _brute_configurations(rules, 4):
+                padded = [0] + sizes + [0]
+                paid = sum(e * abs(b - a) for e, a, b in zip(pot, padded, padded[1:]))
+                assert paid == sum(w * a for w, a in zip(weights, sizes)), (spec, sizes)
+                seen += any(sizes)
+            assert seen >= 3, (spec, d)
+
+
+def test_potential_prune_changes_nothing(monkeypatch):
+    # a zero table never fires, so the sweep runs on the box budget alone
+    theta = [(conifold_theta(n), d) for n in range(7) for d in (3, 5)]
+    identity = [(spec, 5) for spec in _potential_chambers()[8:]]
+
+    def routes(spec, d, rows):
+        z = [enumerate_z(spec, d), enumerate_z_transposed(spec, d)]
+        return z + [enumerate_z_rows(spec, d, r) for r in rows]
+
+    cases = [(spec, d, (1, 2, 3)) for spec, d in theta] + [
+        (spec, d, ()) for spec, d in identity
+    ]
+    pruned = [routes(*case) for case in cases]
+    monkeypatch.setattr(
+        enumeration,
+        "_potential_table",
+        lambda rules, weights: ([0] * len(rules), [0] * len(rules)),
+    )
+    for case, expected in zip(cases, pruned):
+        assert routes(*case) == expected, case
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_over_eager_potential_bound_is_caught(monkeypatch, which):
+    # one unit more on every step's cost, or on the least drop cost ahead,
+    # drops configurations of degree <= D
+    true_table = enumeration._potential_table
+
+    def eager(rules, weights):
+        tables = list(true_table(rules, weights))
+        tables[which] = [e + 1 for e in tables[which]]
+        return tuple(tables)
+
+    monkeypatch.setattr(enumeration, "_potential_table", eager)
+    for n in (1, 2, 3):
+        assert enumerate_z(conifold_theta(n), 6) != conifold_product(n, 6), n
+
+
+def test_partition_graph_size_is_pinned(monkeypatch):
+    # the stage-1 edges the potential prune keeps (1,047, 1,559 and 1,859 on
+    # the box budget alone); a weaker valid bound records more of them
+    true_graph = enumeration._partition_graph
+    edges = []
+
+    def counted(*args):
+        graph, spent = true_graph(*args)
+        edges.append(sum(len(e) for edges_of in graph for e in edges_of.values()))
+        return graph, spent
+
+    monkeypatch.setattr(enumeration, "_partition_graph", counted)
+    for n, d in ((1, 12), (2, 10), (3, 8)):
+        enumerate_z(conifold_theta(n), d)
+    assert edges == [311, 210, 158]
 
 
 def test_unsupported_laurent_chamber_raises():

@@ -380,6 +380,14 @@ def test_derived_walker_window_changes_no_path_sum(monkeypatch):
         assert derived == wide, (spec, walkers, degree)
 
 
+def test_zero_weight_edges_are_no_moves(monkeypatch):
+    # the far steps of the wide table truncate their runs to zero-weight
+    # edges; a walker that crossed one would rise for free
+    monkeypatch.setattr(lgv, "_walker_steps", wide_steps)
+    for walkers, degree in ((2, 2), (1, 3), (3, 3)):
+        assert profile_bijection_check(c3_chamber(), walkers, degree), (walkers, degree)
+
+
 def test_walker_window_one_step_short_is_caught(monkeypatch):
     steps = lgv._walker_steps
     for short in (lambda *args: steps(*args)[1:], lambda *args: steps(*args)[:-1]):
