@@ -46,6 +46,7 @@ from .lgv import (
     profile_bijection_check,
     random_layered_dag,
     walker_graph,
+    walker_path_matrix,
 )
 from .matrixmodel import (
     MatrixModelResult,
@@ -154,4 +155,5 @@ __all__ = [
     "toeplitz_det",
     "verify_all",
     "walker_graph",
+    "walker_path_matrix",
 ]

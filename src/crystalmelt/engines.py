@@ -12,8 +12,9 @@ verify_all takes the product and Toeplitz values it checks from here.
   chamber.
 - toeplitz: the stabilized Toeplitz determinant of the c3 walker symbol, or
   the theta_n symbol times its prefactor C_n.
-- lgv: the walker-path determinant, for single-peak chambers with genuine
-  weights (walker_graph decides).
+- lgv: the determinant of the walker path matrix, summed by in-place
+  transfer over the step table (lgv.walker_path_matrix), for single-peak
+  chambers with genuine weights (lgv._single_peak decides).
 
 A chamber outside a route's reach raises UnsupportedChamberError.
 """
@@ -21,9 +22,10 @@ A chamber outside a route's reach raises UnsupportedChamberError.
 from .chambers import c3_chamber, conifold_index
 from .enumeration import enumerate_z
 from .errors import UnsupportedChamberError
-from .lgv import lgv_det, walker_graph
+from .lgv import walker_path_matrix
 from .matrixmodel import c3_symbol, conifold_symbol, prefactor_cn, stabilized_toeplitz
 from .products import chamber_product
+from .series import det_division_free
 
 ENGINES = ("enumerate", "product", "toeplitz", "lgv")
 
@@ -38,7 +40,7 @@ def engine_series(name, spec, degree):
     if name == "enumerate":
         return enumerate_z(spec, degree), {}
     if name == "lgv":
-        return lgv_det(walker_graph(spec, max(degree, 1), degree)), {}
+        return det_division_free(walker_path_matrix(spec, max(degree, 1), degree)), {}
     if name == "product":
         return chamber_product(spec, degree), {}
     if name == "toeplitz":

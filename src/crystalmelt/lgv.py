@@ -29,6 +29,29 @@ Step table. _walker_steps walks out from the peak once and lists each kept
 step with its slice rule and the exponent vector of its rise or drop edge;
 walker_graph builds its edges from that table and profile_bijection_check
 reads its slice rules from it.
+
+Transfer lemma. walker_path_matrix reads the same table without building a
+graph. A source's row is a vector over the heights 0..walkers-1+D, one path
+sum per height, and each step updates it in place. A straight edge is the
+identity, so only the rise or drop edges do work: with lift = +1 on
+ascending and -1 on descending steps, every height h gains
+x^e vec[h - lift]. On a "plus" step the sweep runs against the lift, so the
+vec[h - lift] it reads still holds the value from before the step: a walker
+moves at most one unit. On a "minus" step it runs with the lift, so that
+value is already updated, which is exactly the rail column's running sum: a
+walker climbs any number of units, paying x^e for each. Heights outside
+0..walkers-1+D are the graph's own boundary, and the vector after the last
+step holds the sink entries at the heights below walkers. The cut is the
+sink lemma of path_matrix, per step: one backward pass over the table, the
+same updates in reverse sweep order with min and + in place of + and x^e,
+gives least[i][h], the least degree from height h before step i down to a
+sink height. A term of degree delta moved into h survives iff
+delta + deg e + live[h] <= D. On a "plus" step live is the table after the
+step, since the term has crossed it; on a "minus" step it is the table
+before the step, since a term on the rail may still climb, and that table
+is the rail's own least degree at h. Weight-1 moves are never filtered, and
+a dead term stays dead along them, as in path_matrix; so every entry is the
+path sum of walker_graph's path_matrix, term for term.
 """
 
 from heapq import heapify, heappop, heappush
@@ -320,6 +343,85 @@ def _walker_steps(spec, peak, weights, degree):
     return sorted(steps, key=itemgetter(0))
 
 
+def _walker_heights(walkers, degree):
+    """The top height walkers - 1 + degree of every walker graph."""
+    if walkers < 1:
+        raise ValueError("need at least one walker")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return walkers - 1 + degree
+
+
+def _sweep_order(hmax, lift, rail):
+    """Heights in the order a step's in-place update visits them: with the
+    lift on a rail ("minus") step, against it on a "plus" step."""
+    up = range(hmax + 1)
+    return up if (lift > 0) == rail else up[::-1]
+
+
+def _live_table(least, i, rail):
+    """The sink table that cuts terms moved at step i: the one before the
+    step on a rail, which a term may still climb, else the one after it."""
+    return least[i] if rail else least[i + 1]
+
+
+def _least_by_step(steps, walkers, hmax):
+    """least[i][h]: the lowest degree of any walker path from height h before
+    step i (after the last step for i = len(steps)) to a sink height below
+    walkers, infinite when none is reached; the transfer updates run
+    backwards, with min in place of the sum."""
+    least = [[0] * walkers + [_NEVER] * (hmax + 1 - walkers)]
+    for _, rule, exps in reversed(steps):
+        lift = 1 if rule.direction == "ascending" else -1
+        cost = sum(exps)
+        row = list(least[-1])
+        for h in reversed(_sweep_order(hmax, lift, rule.relation == "minus")):
+            if 0 <= h + lift <= hmax:
+                row[h] = min(row[h], cost + row[h + lift])
+        least.append(row)
+    least.reverse()
+    return least
+
+
+def walker_path_matrix(spec, walkers, degree):
+    """path_matrix(walker_graph(spec, walkers, degree)), entry for entry,
+    summed by in-place transfer over the step table without building the
+    graph (the transfer lemma in the module docstring)."""
+    steps = _walker_steps(spec, *_single_peak(spec), degree)
+    hmax = _walker_heights(walkers, degree)
+    least = _least_by_step(steps, walkers, hmax)
+    # per step: its exponents and, in sweep order, the moves it makes as
+    # (head, tail, the largest degree a term at the tail may have to move)
+    plan = []
+    for i, (_, rule, exps) in enumerate(steps):
+        lift = 1 if rule.direction == "ascending" else -1
+        rail = rule.relation == "minus"
+        live = _live_table(least, i, rail)
+        room = degree - sum(exps)
+        moves = [
+            (h, h - lift, room - live[h])
+            for h in _sweep_order(hmax, lift, rail)
+            if 0 <= h - lift <= hmax and live[h] <= room
+        ]
+        plan.append((exps, moves))
+    matrix = []
+    for k in range(walkers):
+        vec = [{} for _ in range(hmax + 1)]
+        vec[k][(0,) * spec.L] = 1
+        for exps, moves in plan:
+            for head, tail, reach in moves:
+                terms = vec[tail]
+                if not terms:
+                    continue
+                into = vec[head]
+                for e, c in terms.items():
+                    if sum(e) <= reach:
+                        key = tuple(map(add, e, exps))
+                        into[key] = into.get(key, 0) + c
+        matrix.append([TruncatedSeries(spec.L, degree, vec[j]) for j in range(walkers)])
+    return matrix
+
+
 def walker_graph(spec, walkers, degree):
     """DAG whose N-walker non-intersecting families are the configurations of
     spec with at most N rows per slice, weighted as in enumerate_z.
@@ -330,7 +432,8 @@ def walker_graph(spec, walkers, degree):
     fall edge the run from the peak through s', which multiply to exactly
     that. The graph spans only the steps of _walker_steps, whose runs stay
     within the cutoff: the others have straight edges only (the window lemma
-    in the module docstring).
+    in the module docstring). The lgv route sums the same paths without this
+    graph (walker_path_matrix); the graph stays as its oracle.
     """
     steps = _walker_steps(spec, *_single_peak(spec), degree)
     return _walker_graph(spec.L, walkers, degree, steps)
@@ -338,11 +441,7 @@ def walker_graph(spec, walkers, degree):
 
 def _walker_graph(L, walkers, degree, steps):
     """walker_graph over the step table of _walker_steps."""
-    if walkers < 1:
-        raise ValueError("need at least one walker")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    hmax = walkers - 1 + degree
+    hmax = _walker_heights(walkers, degree)
     one = TruncatedSeries.one(L, degree)
     edges = []
     for t, rule, exps in steps:

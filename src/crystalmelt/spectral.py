@@ -39,19 +39,35 @@ def mirror_map(p: CurveParams) -> CurveCoefficients:
         Q2 = mu (1 + Q eps2) / [(1 + mu Q)(1 + mu eps2)]
         Q3 = Q (1 + mu eps2) / [(1 + eps2 Q)(1 + mu Q)]
 
-    Each of the three binomials appears in exactly two denominators.
+    Each of the three binomials appears in exactly two denominators. With
+    Q = a/b, mu = c/d and eps2 = f/g in lowest terms (b, d, g > 0) every
+    binomial is a cross sum over a product of denominators, e.g.
+    1 + mu eps2 = (dg + cf)/(dg), and those products cancel, so
+
+        Q1 = fg (bd + ac) / [(dg + cf)(bg + af)]
+
+    and likewise for Q2 and Q3: integer arithmetic and one Fraction per
+    coefficient. A binomial vanishes exactly when its cross sum does.
     """
-    q, mu, e = Fraction(p.Q), Fraction(p.mu), Fraction(p.eps2)
-    b_me = 1 + mu * e
-    b_qe = 1 + q * e
-    b_mq = 1 + mu * q
-    if b_me == 0 or b_qe == 0 or b_mq == 0:
+    a, b = _ratio(p.Q)
+    c, d = _ratio(p.mu)
+    f, g = _ratio(p.eps2)
+    s_me = d * g + c * f
+    s_qe = b * g + a * f
+    s_mq = b * d + a * c
+    if s_me == 0 or s_qe == 0 or s_mq == 0:
         raise SingularParametersError("a mirror-map denominator vanishes")
     return CurveCoefficients(
-        e * b_mq / (b_me * b_qe),
-        mu * b_qe / (b_mq * b_me),
-        q * b_me / (b_qe * b_mq),
+        Fraction(f * g * s_mq, s_me * s_qe),
+        Fraction(c * d * s_qe, s_mq * s_me),
+        Fraction(a * b * s_me, s_qe * s_mq),
     )
+
+
+def _ratio(x):
+    """Numerator and positive denominator of x in lowest terms."""
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 class _EquivarianceFailure:

@@ -20,13 +20,15 @@ from .lgv import (
     WeightedDag,
     lgv_det,
     nonintersecting_bruteforce,
+    path_matrix,
     profile_bijection_check,
     random_layered_dag,
     walker_graph,
+    walker_path_matrix,
 )
 from .matrixmodel import conifold_symbol, prefactor_cn
 from .products import macmahon_two_var, wall_factor
-from .series import LaurentSymbol, TruncatedSeries
+from .series import LaurentSymbol, TruncatedSeries, det_division_free
 from .spectral import (
     _spp_identity_sides,
     random_curve_params,
@@ -246,21 +248,35 @@ def _run_lgv_oracle(Dmax, nmax, fault, rng, cache):
     return CriterionResult("lgv-determinant-vs-bruteforce", not bad, detail, bad)
 
 
+def _walker_det(spec, walkers, degree, bad, tags):
+    """The walker determinant of the production route, walker_path_matrix,
+    whose every entry must also equal path_matrix of the built graph; entry
+    mismatches go to bad with the given tags."""
+    matrix = walker_path_matrix(spec, walkers, degree)
+    oracle = path_matrix(walker_graph(spec, walkers, degree))
+    for i, (row, orow) in enumerate(zip(matrix, oracle)):
+        for j, (got, want) in enumerate(zip(row, orow)):
+            bad.extend(_series_mismatches(got, want, limit=1, entry=[i, j], **tags))
+    return det_division_free(matrix)
+
+
 def _run_walker_graphs(Dmax, nmax, fault, rng, cache):
     bad = []
     d = min(5, Dmax)
     target = engine_series("product", c3_chamber(), d)[0]
     for walkers in (max(d, 1), max(d, 1) + 1):
-        det = lgv_det(walker_graph(c3_chamber(), walkers, d))
-        bad += _series_mismatches(det, target, geometry="c3", walkers=walkers)
+        tags = {"geometry": "c3", "walkers": walkers}
+        det = _walker_det(c3_chamber(), walkers, d, bad, tags)
+        bad += _series_mismatches(det, target, **tags)
     dc = min(4, Dmax)
     ctarget = _cached_conifold(cache, 0, Dmax).truncate(dc)
     sizes = (max(dc, 1), max(dc, 1) + 1)
     for walkers in sizes:
-        det = lgv_det(walker_graph(conifold_theta(0), walkers, dc))
+        tags = {"geometry": "conifold", "walkers": walkers}
+        det = _walker_det(conifold_theta(0), walkers, dc, bad, tags)
         if walkers == sizes[-1]:
             det = _flip(det, 7, fault)
-        bad += _series_mismatches(det, ctarget, geometry="conifold", walkers=walkers)
+        bad += _series_mismatches(det, ctarget, **tags)
     db = min(3, Dmax)
     for name, spec in (("c3", c3_chamber()), ("conifold", conifold_theta(0))):
         for walkers in (1, 2, 3):

@@ -22,8 +22,10 @@ from crystalmelt import (
     random_layered_dag,
     slice_rule,
     walker_graph,
+    walker_path_matrix,
 )
-from crystalmelt import UnsupportedChamberError, WeightedDag, lgv
+from crystalmelt import UnsupportedChamberError, WeightedDag, chamber_weights, lgv, peak_slices
+from crystalmelt.engines import engine_series
 from crystalmelt.lgv import _paths_between
 
 
@@ -425,3 +427,119 @@ def test_over_eager_sink_lookahead_is_caught(monkeypatch):
     )
     for g, matrix in zip(graphs, exact):
         assert path_matrix(g) != matrix, g.num_vars
+
+
+def graph_matrix(spec, walkers, degree):
+    return path_matrix(walker_graph(spec, walkers, degree))
+
+
+def transfer_cases():
+    """(spec, walkers, degree) over c3 and theta_0 at degree 0-8 with 1, 2,
+    D and D + 1 walkers."""
+    return [
+        (spec, walkers, degree)
+        for spec in (c3_chamber(), conifold_theta(0))
+        for degree in range(9)
+        for walkers in sorted({1, 2, max(degree, 1), max(degree, 1) + 1})
+    ]
+
+
+def test_walker_path_matrix_equals_the_graph_path_matrix():
+    for spec, walkers, degree in transfer_cases():
+        expected = graph_matrix(spec, walkers, degree)
+        assert walker_path_matrix(spec, walkers, degree) == expected, (spec.L, walkers, degree)
+
+
+def shifted_chambers(L, shift):
+    """Every chamber with theta_i = 2i + 1 + 2 k_i, sum k_i = 0, |k_i| <= shift,
+    for every rho, as far as the images are distinct mod L."""
+    for rho in itertools.product((1, -1), repeat=L):
+        for k in itertools.product(range(-shift, shift + 1), repeat=L):
+            theta = tuple(2 * i + 1 + 2 * ki for i, ki in enumerate(k))
+            if sum(k) == 0 and len({t % (2 * L) for t in theta}) == L:
+                yield ChamberSpec(L, rho, theta)
+
+
+def test_walker_path_matrix_on_single_peak_chambers():
+    # the whole L = 2-4, |shift| <= 2 scan keeps its 28 genuine single-peak
+    # chambers; each runs with one and D walkers and a seeded count between
+    rng = random.Random(4181)
+    specs = [
+        spec
+        for L in (2, 3, 4)
+        for spec in shifted_chambers(L, 2)
+        if len(peak_slices(spec)) == 1 and all(w.is_genuine for w in chamber_weights(spec))
+    ]
+    assert len(specs) == 28
+    for spec in specs:
+        for degree in (3, 5):
+            for walkers in (1, rng.randint(2, degree + 1), degree):
+                expected = graph_matrix(spec, walkers, degree)
+                got = walker_path_matrix(spec, walkers, degree)
+                assert got == expected, (spec, walkers, degree)
+
+
+def test_walker_path_matrix_rejects_what_walker_graph_rejects():
+    for walkers, degree in ((0, 3), (-1, 3), (2, -1)):
+        with pytest.raises(ValueError) as expected:
+            walker_graph(c3_chamber(), walkers, degree)
+        with pytest.raises(ValueError) as got:
+            walker_path_matrix(c3_chamber(), walkers, degree)
+        assert str(got.value) == str(expected.value), (walkers, degree)
+    with pytest.raises(UnsupportedChamberError):
+        walker_path_matrix(conifold_theta(1), 2, 2)
+
+
+def test_lgv_route_builds_no_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the lgv route built a WeightedDag")
+
+    expected = [engine_series("lgv", spec, 5)[0] for spec in (c3_chamber(), conifold_theta(0))]
+    monkeypatch.setattr(lgv, "WeightedDag", refuse)
+    for spec, value in zip((c3_chamber(), conifold_theta(0)), expected):
+        assert engine_series("lgv", spec, 5)[0] == value
+        assert value == enumerate_z(spec, 5)
+
+
+def transfer_differs(monkeypatch, name, replacement):
+    with monkeypatch.context() as m:
+        m.setattr(lgv, name, replacement)
+        return any(
+            walker_path_matrix(spec, walkers, degree) != graph_matrix(spec, walkers, degree)
+            for spec, walkers, degree in transfer_cases()
+        )
+
+
+def test_rail_cut_after_the_step_is_caught(monkeypatch):
+    # a term on the rail may still climb, so the table after the step
+    # overstates what it still has to pay
+    def after(least, i, rail):
+        return least[i + 1]
+
+    assert transfer_differs(monkeypatch, "_live_table", after)
+
+
+def test_plus_step_swept_with_the_lift_is_caught(monkeypatch):
+    # read after its own update, a plus step lets a walker climb like a rail
+    def with_the_lift(hmax, lift, rail):
+        up = range(hmax + 1)
+        return up if lift > 0 else up[::-1]
+
+    assert transfer_differs(monkeypatch, "_sweep_order", with_the_lift)
+
+
+def test_transfer_sink_cut_changes_no_entry(monkeypatch):
+    # least 0 at every height is the plain cut at the cutoff
+    def plain(steps, walkers, hmax):
+        return [[0] * (hmax + 1) for _ in range(len(steps) + 1)]
+
+    assert not transfer_differs(monkeypatch, "_least_by_step", plain)
+
+
+def test_over_eager_transfer_sink_cut_is_caught(monkeypatch):
+    least = lgv._least_by_step
+
+    def eager(steps, walkers, hmax):
+        return [[x + 1 for x in row] for row in least(steps, walkers, hmax)]
+
+    assert transfer_differs(monkeypatch, "_least_by_step", eager)

@@ -47,6 +47,39 @@ def test_mirror_map_singular_parameters():
         mirror_map(CurveParams(Fraction(3), Fraction(1), Fraction(-1, 3)))
 
 
+def binomial_mirror_map(p):
+    """The mirror map by its defining formula, one Fraction operation at a time."""
+    q, mu, e = Fraction(p.Q), Fraction(p.mu), Fraction(p.eps2)
+    b_me, b_qe, b_mq = 1 + mu * e, 1 + q * e, 1 + mu * q
+    if b_me == 0 or b_qe == 0 or b_mq == 0:
+        raise SingularParametersError("a mirror-map denominator vanishes")
+    return (e * b_mq / (b_me * b_qe), mu * b_qe / (b_mq * b_me), q * b_me / (b_qe * b_mq))
+
+
+def test_mirror_map_equals_the_binomial_formula():
+    # signed, zero and singular triples: a cross sum vanishes exactly when
+    # a binomial does, and otherwise every coefficient is the same rational
+    rng = random.Random(1102)
+    values = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
+    singular = 0
+    for _ in range(3000):
+        p = CurveParams(*(rng.choice(values) for _ in range(3)))
+        try:
+            expected = binomial_mirror_map(p)
+        except SingularParametersError:
+            singular += 1
+            with pytest.raises(SingularParametersError):
+                mirror_map(p)
+            continue
+        got = mirror_map(p)
+        assert tuple(got) == expected, p
+        assert all(type(c) is Fraction for c in got)
+    assert singular > 0
+    for _ in range(300):
+        p = random_curve_params(rng)
+        assert tuple(mirror_map(p)) == binomial_mirror_map(p)
+
+
 def test_s3_equivariance_on_random_rationals():
     rng = random.Random(365)
     for _ in range(150):
