@@ -25,7 +25,6 @@ from .enumeration import (
     enumerate_z,
     enumerate_z_rows,
     enumerate_z_transposed,
-    sweep_window,
 )
 from .errors import (
     CrystalMeltError,
@@ -149,7 +148,6 @@ __all__ = [
     "spp_limit_check",
     "spp_top_squared",
     "stabilized_toeplitz",
-    "sweep_window",
     "theta_inverse",
     "theta_value",
     "toeplitz_det",

@@ -162,3 +162,64 @@ def peak_slices(spec):
     if not peaks:
         raise UnsupportedChamberError("no ascending-to-descending transition found")
     return peaks
+
+
+def potential_steps(spec, degree, window=None):
+    """The potential step table: (t, slice rule, e_t) for each step t, the
+    step between slices t and t+1, in time order.
+
+    Let Pi(t) be the exponent vector of the slice weights summed up to slice
+    t (from a fixed origin), and c the componentwise largest Pi(a) over the
+    ascending steps a. Step t costs e_t = c - Pi(t) per box it adds when it
+    ascends and e_t = Pi(t) - c per box it removes when it descends.
+
+    Lemma. The weights telescope: slice s weighs the q_j strictly between
+    theta^{-1}(s - 1/2) and theta^{-1}(s + 1/2), inverted when those are out
+    of order, so Pi(t) - Pi(u) is the q_j strictly between
+    theta^{-1}(u + 1/2) and theta^{-1}(t + 1/2), inverted when the second is
+    the smaller. Step t ascends exactly when theta^{-1}(t + 1/2) < 0, so the
+    ascending Pi are ordered by theta^{-1}(a + 1/2), c is Pi(a*) at the
+    step with theta^{-1}(a* + 1/2) = -1/2, and with x = theta^{-1}(t + 1/2):
+
+        e_t = prod q_j over the integers j with x < j < 0, if t ascends,
+        e_t = prod q_j over the integers j with 0 <= j < x, if t descends.
+
+    So for an ascending step a and a descending step d, e_a + e_d =
+    Pi(d) - Pi(a) is the product of the q_j strictly between
+    theta^{-1}(a + 1/2) < 0 < theta^{-1}(d + 1/2): genuine, and of degree
+    >= 1 since it holds q_0. Hence:
+
+    - every e_t >= 0 componentwise, on every chamber;
+    - every rise at a paired with a later drop at d costs degree >= 1. By
+      summation by parts a configuration's monomial is
+      sum_t e_t ||lam_{t+1}| - |lam_t||, since sizes grow only on ascending
+      steps and shrink only on descending ones. A walker's path splits into
+      such unit excursions, and each walker off its ground height holds one
+      open, so a configuration of degree <= D has at most D rows in every
+      slice: D walkers suffice, each at most D above its ground;
+    - a configuration of degree <= D changes across no step priced above D.
+      It is empty far away on both sides, so it is empty up to the first step
+      priced within D and from the last one on: those steps and the ones
+      between them hold every configuration of degree <= D.
+
+    deg e_t is |x| - 1/2 on an ascending step and |x| + 1/2 on a descending
+    one, so the steps priced within degree D >= 0 are those with
+    -D - 1/2 <= x <= D - 1/2, and the table runs from the first to the last
+    of them by default. window = (lo, hi) asks for the steps from lo - 1 to
+    hi instead, around slices lo..hi.
+    """
+    L = spec.L
+    if window is None:
+        # the steps t with t + 1/2 = theta(y), y doubled in -2D-1..2D-1
+        ends = [(theta_value(spec, y) - 1) // 2 for y in range(-2 * degree - 1, 2 * degree, 2)]
+        window = (min(ends) + 1, max(ends))
+
+    def step(t):
+        # with k = x + 1/2, e_t holds the q_j with min(k, 0) <= j < max(k, 0),
+        # counted per residue r mod L
+        k = (theta_inverse(spec, 2 * t + 1) + 1) // 2
+        lo, hi = min(k, 0), max(k, 0)
+        e = tuple((hi - 1 - r) // L - (lo - 1 - r) // L for r in range(L))
+        return t, slice_rule(spec, t), e
+
+    return [step(t) for t in range(window[0] - 1, window[1] + 1)]

@@ -6,15 +6,16 @@ chamber itself, so a chamber gets the same routes however it was named on
 the command line. The command line runs every engine through here, and
 verify_all takes the product and Toeplitz values it checks from here.
 
-- enumerate: the slice sweep, for chambers with genuine weights and for the
+- enumerate: the slice sweep over the window of the potential step table
+  (chambers.potential_steps), for chambers with genuine weights and for the
   conifold ladder theta_n (box_budget decides).
 - product: the root-data product of products.chamber_product, for every
   chamber.
 - toeplitz: the stabilized Toeplitz determinant of the c3 walker symbol, or
   the theta_n symbol times its prefactor C_n.
 - lgv: the determinant of the walker path matrix, summed by in-place
-  transfer over the step table (lgv.walker_path_matrix), for single-peak
-  chambers with genuine weights (lgv._single_peak decides).
+  transfer over the potential step table (lgv.walker_path_matrix), for
+  every chamber.
 
 A chamber outside a route's reach raises UnsupportedChamberError.
 """

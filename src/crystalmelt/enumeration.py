@@ -48,24 +48,22 @@ so far plus W_t |nu| plus least_degree(t, nu) exceeds D has no completion of
 degree <= D, and dropping it removes only configurations that the final degree
 filter would drop anyway: the result is the same as without the bound.
 
-Potential: let P(t) = sum W_s over the window's slices s <= t, so the step t
-between slices t and t+1 sees P(t), and the step into the window sees 0. Take
-a constant c with P(t) <= c on every ascending step and P(t) >= c on every
-descending one, and give step t the cost e_t = c - P(t) if it ascends and
-P(t) - c if it descends; every e_t is >= 0. With a_t = |lam_t|, 0 outside the
-window, summation by parts gives
+Potential: the sweep reads its rules, its window and its step costs from
+the potential step table (chambers.potential_steps), and step t costs e_t,
+the degree of the table's exponent vector, per box it adds or removes. The
+table's lemma proves that every e_t is >= 0, that a configuration's degree is
+the potential it pays step by step,
 
-    sum_t W_t a_t = sum_t P(t) (a_t - a_{t+1}) = sum_t e_t |a_{t+1} - a_t|,
+    sum_t W_t |lam_t| = sum_t e_t ||lam_{t+1}| - |lam_t||,
 
-since the differences a_t - a_{t+1} sum to 0 (so c may be subtracted) and
-sizes only grow on ascending steps and only shrink on descending ones. So a
-configuration's degree is the potential it pays step by step, and no step
-pays a negative amount. After step t the |nu| boxes it leaves must still be
-dropped: the drops after t exceed the rises by exactly |nu|, each drop costs at
-least m_{>t}, the least e over the descending steps after t, and a rise costs
->= 0. Every configuration through the step mu -> nu at t therefore has degree
-at least paid(mu) + e_t ||nu| - |mu|| + m_{>t} |nu|, for any paid(mu) at most
-the potential its history paid up to mu. The first stage carries, next to the
+and that every configuration of degree <= D lies within the table's steps,
+which are therefore the sweep's window. After step t the |nu| boxes it
+leaves must still be dropped: the drops after t exceed the rises by exactly
+|nu|, each drop costs at least m_{>t}, the least e over the descending steps
+after t, and a rise costs >= 0. Every configuration through the step
+mu -> nu at t therefore has degree at least
+paid(mu) + e_t ||nu| - |mu|| + m_{>t} |nu|, for any paid(mu) at most the
+potential its history paid up to mu. The first stage carries, next to the
 least boxes, the least potential paid over the recorded histories of each
 partition and drops the step when that sum exceeds D. By induction over t,
 every step of a configuration of degree <= D is recorded: its history's steps
@@ -74,16 +72,14 @@ passes on its degree. Hence the graph records every step of every
 configuration of degree <= D, and the second stage's least degree over it is
 still a lower bound on the degree such a configuration adds. On an ascending
 step the test reads (e_t + m_{>t}) |nu| <= D - paid(mu) + e_t |mu|, which caps
-the successors generated. The choice of c changes nothing: moving c by k moves
-paid(nu) by k |nu| and m_{>t} by -k. Where no c fits, every e_t is 0 and the
-test never fires. A step with e_t = 0 costs nothing, so the box budget stays as
-the cap that keeps the first stage's graph finite.
+the successors generated. The box budget sets no window; it only caps the
+boxes of the first stage.
 """
 
 from functools import lru_cache
-from itertools import accumulate, groupby, product
+from itertools import groupby, product
 
-from .chambers import chamber_weights, conifold_index, peak_slices, slice_rule
+from .chambers import chamber_weights, conifold_index, potential_steps
 from .errors import UnsupportedChamberError
 from .partitions import interlace_minus, interlace_plus
 from .series import TruncatedSeries
@@ -220,14 +216,6 @@ def box_budget(spec, degree):
     )
 
 
-def sweep_window(spec, degree, budget):
-    peaks = peak_slices(spec)
-    L = spec.L
-    lo = min(-degree * L - L, min(peaks) - budget - L)
-    hi = max(degree * L + L, max(peaks) + budget + L)
-    return lo, hi
-
-
 def _closes(rule, mu):
     """Whether the step out of the window, under rule, lands on the empty partition."""
     rel = interlace_plus if rule.relation == "plus" else interlace_minus
@@ -252,40 +240,30 @@ def _least_degree(graph, weights, ends):
     return least
 
 
-def _potential_table(rules, weights):
-    """Potential costs of the window's steps (module docstring). rules[j] is
-    the step into slice j and weights[j] the total degree of that slice's
-    weight. Returns (pot, after): pot[j] is the cost e of one box risen or
-    dropped at step j, all 0 when no constant c fits, and after[j] the least
-    pot over the descending steps after j, 0 if there is none."""
-    prefix = list(accumulate(weights, initial=0))  # P at each step
-    up = [rule.direction == "ascending" for rule in rules]
-    c = max((p for p, ascends in zip(prefix, up) if ascends), default=0)
-    if any(p < c for p, ascends in zip(prefix, up) if not ascends):
-        pot = [0] * len(rules)
-    else:
-        pot = [c - p if ascends else p - c for p, ascends in zip(prefix, up)]
+def _least_drop_ahead(rules, pot):
+    """after[j]: the least pot over the descending steps after step j, 0 if
+    there is none; rules[j] is step j's slice rule and pot[j] its cost."""
     after = []
     least = _NEVER
-    for e, ascends in zip(reversed(pot), reversed(up)):
+    for e, rule in zip(reversed(pot), reversed(rules)):
         after.append(0 if least == _NEVER else least)
-        if not ascends:
+        if rule.direction == "descending":
             least = min(least, e)
     after.reverse()
-    return pot, after
+    return after
 
 
-def _partition_graph(rules, weights, degree, budget, max_rows):
+def _partition_graph(rules, pot, degree, budget, max_rows):
     """Stage 1: the partition graph under the box budget and the degree,
     carrying per partition only the least boxes spent and the least potential
     paid over its recorded histories (module docstring). rules[i] is the step
-    into slice i of the window. Returns (graph, spent): graph[i] maps each
-    partition at slice i - 1 to its recorded edges (nu, boxes, room) into
-    slice i, and spent maps the partitions of the last slice to their least
-    boxes."""
+    into slice i of the window and pot[i] its potential cost. Returns
+    (graph, spent): graph[i] maps each partition at slice i - 1 to its
+    recorded edges (nu, boxes, room) into slice i, and spent maps the
+    partitions of the last slice to their least boxes."""
     # steps[j] leaves slice j; the last one is the step out of the window
     steps = [_least_step(rule) for rule in rules[1:]]
-    pot, after = _potential_table(rules, weights)
+    after = _least_drop_ahead(rules, pot)
     memo = {}
     graph = []
     spent = {(): 0}
@@ -337,17 +315,17 @@ def _partition_graph(rules, weights, degree, budget, max_rows):
 
 def _sweep(spec, degree, budget, transposed, max_rows, window=None):
     L = spec.L
-    lo, hi = window if window is not None else sweep_window(spec, degree, budget)
-    rules = []
-    for i in range(lo - 1, hi + 1):
-        rule = slice_rule(spec, i)
-        rules.append(rule.flipped() if transposed else rule)
-    classes = [s % L for s in range(lo, hi + 1)]
+    table = potential_steps(spec, degree, window)
+    if len(table) < 2:  # no slice in the window: only the empty configuration
+        return {(0,) * L: 1}
+    rules = [rule.flipped() if transposed else rule for _, rule, _ in table]
+    pot = [sum(e) for _, _, e in table]
+    classes = [(t + 1) % L for t, _, _ in table[:-1]]
     total_degree = [w.total_degree for w in chamber_weights(spec)]
     weights = [total_degree[c] for c in classes]
 
-    # stage 1: the partition graph; graph[i] holds the edges into slice lo + i
-    graph, spent = _partition_graph(rules, weights, degree, budget, max_rows)
+    # stage 1: the partition graph; graph[i] holds the edges into slice i of the window
+    graph, spent = _partition_graph(rules, pot, degree, budget, max_rows)
 
     # stage 2: the least degree any recorded continuation still adds
     closing = rules[-1]

@@ -15,20 +15,18 @@ All slopes are in {0, +-1} and time only advances, hence any vertex-disjoint
 family connects source k to sink k and no signed terms survive beyond the
 non-intersecting sum.
 
-Window lemma. A unit of height raised at ascending step t costs the weight
-run over slices t+1..peak-1, and one dropped at descending step t the run
-over peak..t (see walker_graph). Where that run's degree exceeds the cutoff
-the step has no rise or drop edge, only weight-1 straight edges (rails
-included), which carry every path straight across: the step maps each path
-onto itself and each vertex-disjoint family onto one. Removing such a step
-therefore changes no path sum, so every path-matrix entry stays identical,
-not just the determinant, and the graph spans only the steps that keep an
-edge.
-
-Step table. _walker_steps walks out from the peak once and lists each kept
-step with its slice rule and the exponent vector of its rise or drop edge;
-walker_graph builds its edges from that table and profile_bijection_check
-reads its slice rules from it.
+Step table and window. Every walker route reads chambers.potential_steps: a
+unit of height raised at ascending step t, or dropped at descending step t,
+costs x^{e_t}, and that table's lemma proves every e_t >= 0, that D walkers
+at heights up to walkers - 1 + D carry every configuration of degree <= D,
+and that its steps, from the first to the last priced within the cutoff,
+span every such configuration. A step priced above the cutoff has no rise or
+drop edge, only weight-1 straight edges (rails included), which carry every
+path straight across: the step maps each path onto itself and each
+vertex-disjoint family onto one. So no step outside the table changes a
+path sum, and every path-matrix entry stays identical, not just the
+determinant. walker_graph builds its edges from the table and
+profile_bijection_check reads its slice rules from it.
 
 Transfer lemma. walker_path_matrix reads the same table without building a
 graph. A source's row is a vector over the heights 0..walkers-1+D, one path
@@ -58,8 +56,8 @@ from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
 from operator import add, itemgetter
 
-from .chambers import chamber_weights, peak_slices, slice_rule
-from .errors import InvalidGraphError, OracleTooLargeError, UnsupportedChamberError
+from .chambers import chamber_weights, potential_steps
+from .errors import InvalidGraphError, OracleTooLargeError
 from .partitions import interlace_minus, interlace_plus
 from .series import TruncatedSeries, det_division_free
 
@@ -308,48 +306,15 @@ def random_layered_dag(rng, cutoff=12):
     return WeightedDag(1, cutoff, edges, sources, sinks)
 
 
-def _single_peak(spec):
-    """The chamber's one peak slice and its weight exponent vectors."""
-    peaks = peak_slices(spec)
-    if len(peaks) != 1:
-        raise UnsupportedChamberError(
-            "walker graphs need a chamber with a single ascending/descending turn"
-        )
-    weights = chamber_weights(spec)
-    if not all(w.is_genuine for w in weights):
-        raise UnsupportedChamberError("walker graphs need genuine weight monomials")
-    return peaks[0], [w.exponents for w in weights]
-
-
-def _walker_steps(spec, peak, weights, degree):
-    """The steps that carry a rise or a drop edge, in time order, as
-    (t, slice rule, exponent vector of that edge).
-
-    Ascending step t raises at the cost of the weight run over slices
-    t+1..peak-1, descending step t drops at the cost of the run over
-    peak..t (see walker_graph). Both runs grow by at least 1 per slice away
-    from the peak (the weights are genuine), so the steps whose run stays
-    within the degree are one range, found by walking out from the peak
-    until the run passes it. Step peak-1 always stays: its run is empty.
-    """
-    L = len(weights)
-    steps = []
-    for t, run, out in ((peak - 1, (0,) * L, -1), (peak, weights[peak % L], 1)):
-        while sum(run) <= degree:
-            steps.append((t, slice_rule(spec, t), run))
-            between = t if out < 0 else t + 1  # the slice between t and the next step out
-            run = tuple(map(add, run, weights[between % L]))
-            t += out
-    return sorted(steps, key=itemgetter(0))
-
-
-def _walker_heights(walkers, degree):
-    """The top height walkers - 1 + degree of every walker graph."""
+def _walker_table(spec, walkers, degree):
+    """The top height walkers - 1 + degree of spec's walker routes and their
+    step table (chambers.potential_steps), once the walker count and the
+    degree are checked."""
     if walkers < 1:
         raise ValueError("need at least one walker")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    return walkers - 1 + degree
+    return walkers - 1 + degree, potential_steps(spec, degree)
 
 
 def _sweep_order(hmax, lift, rail):
@@ -387,8 +352,7 @@ def walker_path_matrix(spec, walkers, degree):
     """path_matrix(walker_graph(spec, walkers, degree)), entry for entry,
     summed by in-place transfer over the step table without building the
     graph (the transfer lemma in the module docstring)."""
-    steps = _walker_steps(spec, *_single_peak(spec), degree)
-    hmax = _walker_heights(walkers, degree)
+    hmax, steps = _walker_table(spec, walkers, degree)
     least = _least_by_step(steps, walkers, hmax)
     # per step: its exponents and, in sweep order, the moves it makes as
     # (head, tail, the largest degree a term at the tail may have to move)
@@ -426,22 +390,19 @@ def walker_graph(spec, walkers, degree):
     """DAG whose N-walker non-intersecting families are the configurations of
     spec with at most N rows per slice, weighted as in enumerate_z.
 
-    A unit of height raised at step s and dropped at step s' is elevated
-    through slices s+1..s', so it must cost prod of the slice weights over
-    that range; the rise edge carries the run from s+1 up to the peak and the
-    fall edge the run from the peak through s', which multiply to exactly
-    that. The graph spans only the steps of _walker_steps, whose runs stay
-    within the cutoff: the others have straight edges only (the window lemma
-    in the module docstring). The lgv route sums the same paths without this
-    graph (walker_path_matrix); the graph stays as its oracle.
+    A unit of height raised at step s and dropped at a later step s' is
+    elevated through slices s+1..s', so it must cost the product of the slice
+    weights over that range; the rise edge carries x^{e_s} and the fall edge
+    x^{e_s'} of chambers.potential_steps, which multiply to exactly that. The
+    graph spans only the steps of that table: the others have straight edges
+    only (the module docstring). The lgv route sums the same paths without
+    this graph (walker_path_matrix); the graph stays as its oracle.
     """
-    steps = _walker_steps(spec, *_single_peak(spec), degree)
-    return _walker_graph(spec.L, walkers, degree, steps)
+    return _walker_graph(spec.L, walkers, degree, *_walker_table(spec, walkers, degree))
 
 
-def _walker_graph(L, walkers, degree, steps):
-    """walker_graph over the step table of _walker_steps."""
-    hmax = _walker_heights(walkers, degree)
+def _walker_graph(L, walkers, degree, hmax, steps):
+    """walker_graph up to height hmax over a potential step table."""
     one = TruncatedSeries.one(L, degree)
     edges = []
     for t, rule, exps in steps:
@@ -509,7 +470,7 @@ def _heights_to_partition(heights):
 def _family_verdict(steps, weights, profile, gadget_vertices, total_exp):
     """The reason one family fails the round trip, or None when it passes.
 
-    steps is the step table of _walker_steps, profile the heights at each
+    steps is the potential step table, profile the heights at each
     slice, gadget_vertices[i] the vertices the family uses beyond slice i and
     total_exp its weight exponent vector.
     """
@@ -565,17 +526,17 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     enumerate_z. A failure returns a falsy diagnostic carrying the first
     offending family.
 
-    The families are listed by a depth-first search over the steps of
-    _walker_steps that moves every walker across one step at a time and
-    hands each family that closes on the ground state (0, 1, ..., N-1)
-    within the degree budget to the per-family verdict. One exact bound
+    The families are listed by a depth-first search over the potential step
+    table that moves every walker across one step at a time and hands each
+    family that closes on the ground state (0, 1, ..., N-1) within the
+    degree budget to the per-family verdict. One exact bound
     keeps it from exploring branches that cannot get there; it removes no
     family that can.
 
     Sink bound lemma. Walker k ends at sink k, so from vertex v its path
     still costs at least least_k[v], the least degree of any path from v to
     sink k (_least_to_sink run towards sink k only). Every edge weight is a
-    monomial with non-negative exponents (the weights are genuine), so
+    monomial with non-negative exponents (every e_t >= 0), so
     degrees only add up along a path, and any family completing a partial
     set of moves has degree at least the degree spent so far, plus, for each
     walker already moved, its move's degree and least_k from where it
@@ -597,9 +558,9 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     node_guard caps the number of nodes entered; past it the search raises
     OracleTooLargeError.
     """
-    peak, weights = _single_peak(spec)
-    steps = _walker_steps(spec, peak, weights, degree)
-    g = _walker_graph(spec.L, walkers, degree, steps)
+    hmax, steps = _walker_table(spec, walkers, degree)
+    g = _walker_graph(spec.L, walkers, degree, hmax, steps)
+    weights = [w.exponents for w in chamber_weights(spec)]
     order = _topological_order(g)
     least = [_least_to_sink(g, order, (b,)) for b in g.sinks]
     ground = tuple(range(walkers))

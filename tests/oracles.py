@@ -6,6 +6,8 @@ from the package, so expectations frozen from these oracles cannot inherit a
 bug in the code under test.
 """
 
+import itertools
+
 
 def plane_partition_counts(max_total):
     """Count plane partitions with n boxes, for every n = 0..max_total.
@@ -92,6 +94,17 @@ def is_horizontal_strip(lam, mu):
         if not (0 <= lam_t[j] - m <= 1):
             return False
     return True
+
+
+def shifted_chamber_data(L, shift):
+    """(L, rho, theta) of every chamber with theta_i = 2i + 1 + 2 k_i,
+    sum k_i = 0, |k_i| <= shift, for every rho, as far as the images are
+    distinct mod L."""
+    for rho in itertools.product((1, -1), repeat=L):
+        for k in itertools.product(range(-shift, shift + 1), repeat=L):
+            theta = tuple(2 * i + 1 + 2 * ki for i, ki in enumerate(k))
+            if sum(k) == 0 and len({t % (2 * L) for t in theta}) == L:
+                yield L, rho, theta
 
 
 def read_series_json(data):

@@ -1,4 +1,5 @@
 import random
+from operator import add, sub
 
 import pytest
 
@@ -16,6 +17,8 @@ from crystalmelt import (
     theta_inverse,
     theta_value,
 )
+from crystalmelt.chambers import potential_steps
+from oracles import shifted_chamber_data
 
 
 def random_valid_chamber(rng, L):
@@ -157,3 +160,66 @@ def test_peak_slices_exist_for_random_chambers():
             for p in peaks:
                 assert slice_rule(spec, p - 1).direction == "ascending"
                 assert slice_rule(spec, p).direction == "descending"
+
+
+def scan_chambers():
+    """c3 and the chambers of L = 2, 3, 4, 5 with |k_i| <= 3, 2, 1, 1."""
+    for L, shift in ((1, 0), (2, 3), (3, 2), (4, 1), (5, 1)):
+        for data in shifted_chamber_data(L, shift):
+            yield ChamberSpec(*data)
+
+
+def prefix_runs(spec, radius):
+    """{t: (slice rule of step t, Pi(t))} for -radius <= t < radius, with
+    Pi(t) the chamber_weights of slices -radius..t summed up."""
+    weights = [w.exponents for w in chamber_weights(spec)]
+    run = (0,) * spec.L
+    out = {}
+    for t in range(-radius, radius):
+        run = tuple(map(add, run, weights[t % spec.L]))
+        out[t] = (slice_rule(spec, t), run)
+    return out
+
+
+def test_rise_drop_pairs_cost_a_genuine_monomial():
+    # Pi(d) - Pi(a) >= 0 componentwise, of degree >= 1, for every ascending
+    # step a and descending step d; a pair further than a period from the
+    # peaks only adds whole periods (1, ..., 1), so this window covers them
+    chambers = pairs = 0
+    for spec in scan_chambers():
+        chambers += 1
+        runs = prefix_runs(spec, max(map(abs, peak_slices(spec))) + spec.L + 1)
+        ups = [pi for rule, pi in runs.values() if rule.direction == "ascending"]
+        downs = [pi for rule, pi in runs.values() if rule.direction == "descending"]
+        for a in ups:
+            for d in downs:
+                cost = tuple(map(sub, d, a))
+                assert min(cost) >= 0 and sum(cost) >= 1, (spec, a, d)
+                pairs += 1
+    assert chambers == 598 and pairs > 20_000
+
+
+def table_by_definition(spec, degree):
+    """potential_steps from its definition: c the componentwise largest Pi
+    over the ascending steps, e_t = c - Pi(t) on an ascending step and
+    Pi(t) - c on a descending one, from the first to the last step with
+    deg e_t <= degree."""
+    runs = prefix_runs(spec, max(map(abs, spec.theta)) + (degree + 2) * spec.L)
+    ascents = [pi for rule, pi in runs.values() if rule.direction == "ascending"]
+    c = [max(column) for column in zip(*ascents)]
+    table = [
+        (t, rule, tuple(map(sub, c, pi) if rule.direction == "ascending" else map(sub, pi, c)))
+        for t, (rule, pi) in runs.items()
+    ]
+    kept = [i for i, (_, _, e) in enumerate(table) if sum(e) <= degree]
+    assert 0 < kept[0] and kept[-1] < len(table) - 1  # both ends inside the scan
+    return table[kept[0] : kept[-1] + 1]
+
+
+def test_potential_steps_equal_the_runs_from_chamber_weights():
+    for spec in scan_chambers():
+        for degree in (0, 2, 5):
+            assert potential_steps(spec, degree) == table_by_definition(spec, degree), (
+                spec,
+                degree,
+            )

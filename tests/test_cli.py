@@ -147,7 +147,9 @@ def invalid_cases():
         ("enumerate", "--geometry", "general", "--chamber", "[1, 2]", "--degree", "2"),
         ("enumerate", "--geometry", "c3", "--chamber", "1", "--degree", "2"),
         ("enumerate", "--geometry", "c3", "--degree", "-3"),
-        ("lgv", "--geometry", "conifold", "--chamber", "2", "--degree", "2"),
+        ("lgv", "--geometry", "general",
+         "--chamber", '{"L": 3, "rho": [1, 1, 1], "theta": [3, 1, 5]}', "--degree", "2",
+         "--engines", "lgv,enumerate"),
         ("spectral", "--check", "mirror", "--q", "not-a-number"),
         ("spectral", "--check", "spp-identity", "--chamber", "0"),
         ("enumerate", "--geometry", "general", "--chamber", '{"L": 2}', "--degree", "2"),

@@ -20,11 +20,11 @@ from crystalmelt import (
     enumerate_z_transposed,
     lgv_det,
     macmahon,
-    slice_rule,
-    sweep_window,
     walker_graph,
 )
 from crystalmelt import enumeration, interlace_minus, interlace_plus
+from crystalmelt.chambers import potential_steps
+from crystalmelt.engines import engine_series
 from crystalmelt.enumeration import _enumerate
 from oracles import all_partitions_up_to, plane_partition_counts
 
@@ -40,6 +40,9 @@ def test_degree_zero_is_one_everywhere():
     for spec in (c3_chamber(), conifold_theta(0), conifold_theta(2)):
         z = enumerate_z(spec, 0)
         assert z == TruncatedSeries.one(spec.L, 0)
+    # the sweep window has no slice at degree 0; lgv on a Laurent chamber too
+    for spec in (conifold_theta(2), ChamberSpec(3, (1, 1, 1), (3, 1, 5))):
+        assert engine_series("lgv", spec, 0)[0] == TruncatedSeries.one(spec.L, 0)
 
 
 def test_degree_validation():
@@ -55,15 +58,6 @@ def test_box_budget_values():
     assert box_budget(conifold_theta(2), 6) == 14
     with pytest.raises(UnsupportedChamberError):
         box_budget(ChamberSpec(2, (1, -1), (5, -1)), 4)
-
-
-def test_sweep_window_covers_the_naive_window():
-    for spec in (c3_chamber(), conifold_theta(0), conifold_theta(3)):
-        for d in (0, 2, 5):
-            b = box_budget(spec, d)
-            lo, hi = sweep_window(spec, d, b)
-            assert lo <= -d * spec.L - spec.L
-            assert hi >= d * spec.L + spec.L
 
 
 def test_conifold_enumeration_matches_product_small():
@@ -157,7 +151,7 @@ def test_widening_budget_and_window_changes_nothing():
     )
     for spec, d in cases:
         b = box_budget(spec, d)
-        lo, hi = sweep_window(spec, d, b)
+        lo, hi = _sweep_window(spec, d)
         extra = rng.randint(1, 3)
         for transposed, engine in ((False, enumerate_z), (True, enumerate_z_transposed)):
             widened = _enumerate(
@@ -168,6 +162,12 @@ def test_widening_budget_and_window_changes_nothing():
                 window=(lo - extra * spec.L, hi + extra * spec.L),
             )
             assert widened == engine(spec, d), (spec, d, transposed)
+
+
+def _sweep_window(spec, d):
+    """The slices lo..hi of the sweep's default window."""
+    table = potential_steps(spec, d)
+    return table[0][0] + 1, table[-1][0]
 
 
 def test_window_longer_than_the_recursion_limit():
@@ -208,7 +208,7 @@ def test_over_eager_degree_bound_is_caught(monkeypatch):
 
 def _all_routes(spec, d):
     b = box_budget(spec, d)
-    lo, hi = sweep_window(spec, d, b)
+    lo, hi = _sweep_window(spec, d)
     wide = (lo - spec.L, hi + spec.L)
     return (
         enumerate_z(spec, d),
@@ -276,12 +276,13 @@ def _potential_chambers():
 
 
 def _window_steps(spec, d):
-    """The sweep's step rules (into each slice of its window, then out of it)
-    and each slice's weight degree, as _sweep builds them."""
-    lo, hi = sweep_window(spec, d, box_budget(spec, d))
-    rules = [slice_rule(spec, t) for t in range(lo - 1, hi + 1)]
-    total = [w.total_degree for w in chamber_weights(spec)]
-    return rules, [total[s % spec.L] for s in range(lo, hi + 1)]
+    """The sweep's step rules (into each slice of its window, then out of it),
+    each slice's weight exponents and each step's potential cost vector, as
+    _sweep reads them from the potential step table."""
+    table = potential_steps(spec, d)
+    weights = [w.exponents for w in chamber_weights(spec)]
+    slices = [weights[(t + 1) % spec.L] for t, _, _ in table[:-1]]
+    return [rule for _, rule, _ in table], slices, [e for _, _, e in table]
 
 
 def _brute_configurations(rules, max_boxes):
@@ -306,16 +307,20 @@ def _brute_configurations(rules, max_boxes):
 
 
 def test_potential_table_prices_every_configuration_at_its_degree():
+    # componentwise: each configuration pays its monomial, not just its degree
     for spec in _potential_chambers():
         for d in (1, 3):
-            rules, weights = _window_steps(spec, d)
-            pot, after = enumeration._potential_table(rules, weights)
-            assert min(pot) >= 0 and min(after) >= 0, (spec, d)
+            rules, weights, costs = _window_steps(spec, d)
+            pot = [sum(e) for e in costs]
+            after = enumeration._least_drop_ahead(rules, pot)
+            assert min(map(min, costs)) >= 0 and min(after) >= 0, (spec, d)
             seen = 0
             for sizes in _brute_configurations(rules, 4):
                 padded = [0] + sizes + [0]
-                paid = sum(e * abs(b - a) for e, a, b in zip(pot, padded, padded[1:]))
-                assert paid == sum(w * a for w, a in zip(weights, sizes)), (spec, sizes)
+                moves = [abs(b - a) for a, b in zip(padded, padded[1:])]
+                paid = [sum(e[i] * k for e, k in zip(costs, moves)) for i in range(spec.L)]
+                monomial = [sum(w[i] * a for w, a in zip(weights, sizes)) for i in range(spec.L)]
+                assert paid == monomial, (spec, sizes)
                 seen += any(sizes)
             assert seen >= 3, (spec, d)
 
@@ -333,33 +338,39 @@ def test_potential_prune_changes_nothing(monkeypatch):
         (spec, d, ()) for spec, d in identity
     ]
     pruned = [routes(*case) for case in cases]
-    monkeypatch.setattr(
-        enumeration,
-        "_potential_table",
-        lambda rules, weights: ([0] * len(rules), [0] * len(rules)),
-    )
+    table = enumeration.potential_steps
+
+    def zero(spec, degree, window=None):
+        return [(t, rule, (0,) * spec.L) for t, rule, _ in table(spec, degree, window)]
+
+    monkeypatch.setattr(enumeration, "potential_steps", zero)
     for case, expected in zip(cases, pruned):
         assert routes(*case) == expected, case
 
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_over_eager_potential_bound_is_caught(monkeypatch, which):
-    # one unit more on every step's cost, or on the least drop cost ahead,
-    # drops configurations of degree <= D
-    true_table = enumeration._potential_table
+    # one unit more on every step's cost (and so on the least drop cost
+    # ahead), or on the least drop cost ahead alone, drops configurations of
+    # degree <= D
+    table, ahead = enumeration.potential_steps, enumeration._least_drop_ahead
 
-    def eager(rules, weights):
-        tables = list(true_table(rules, weights))
-        tables[which] = [e + 1 for e in tables[which]]
-        return tuple(tables)
+    def eager_table(spec, degree, window=None):
+        return [(t, rule, (e[0] + 1,) + e[1:]) for t, rule, e in table(spec, degree, window)]
 
-    monkeypatch.setattr(enumeration, "_potential_table", eager)
+    def eager_ahead(rules, pot):
+        return [m + 1 for m in ahead(rules, pot)]
+
+    if which == 0:
+        monkeypatch.setattr(enumeration, "potential_steps", eager_table)
+    else:
+        monkeypatch.setattr(enumeration, "_least_drop_ahead", eager_ahead)
     for n in (1, 2, 3):
         assert enumerate_z(conifold_theta(n), 6) != conifold_product(n, 6), n
 
 
 def test_partition_graph_size_is_pinned(monkeypatch):
-    # the stage-1 edges the potential prune keeps (1,047, 1,559 and 1,859 on
+    # the stage-1 edges the potential prune keeps (986, 1,463 and 1,716 on
     # the box budget alone); a weaker valid bound records more of them
     true_graph = enumeration._partition_graph
     edges = []
@@ -372,7 +383,7 @@ def test_partition_graph_size_is_pinned(monkeypatch):
     monkeypatch.setattr(enumeration, "_partition_graph", counted)
     for n, d in ((1, 12), (2, 10), (3, 8)):
         enumerate_z(conifold_theta(n), d)
-    assert edges == [311, 210, 158]
+    assert edges == [282, 177, 119]
 
 
 def test_unsupported_laurent_chamber_raises():

@@ -12,6 +12,7 @@ from crystalmelt import (
     TruncatedSeries,
     c3_chamber,
     conifold_theta,
+    det_division_free,
     enumerate_z,
     enumerate_z_rows,
     lgv_det,
@@ -24,9 +25,10 @@ from crystalmelt import (
     walker_graph,
     walker_path_matrix,
 )
-from crystalmelt import UnsupportedChamberError, WeightedDag, chamber_weights, lgv, peak_slices
+from crystalmelt import WeightedDag, chamber_product, chamber_weights, enumeration, lgv, peak_slices
 from crystalmelt.engines import engine_series
 from crystalmelt.lgv import _paths_between
+from oracles import shifted_chamber_data
 
 
 def w_monomial(i, cutoff=4):
@@ -223,9 +225,14 @@ def test_walker_graph_counts_row_restricted_evolutions():
             assert det == enumerate_z_rows(spec, d, walkers), (spec.L, walkers)
 
 
-def test_walker_graph_rejects_multi_peak_chambers():
-    with pytest.raises(UnsupportedChamberError):
-        walker_graph(conifold_theta(1), 2, 2)
+def test_walker_graph_counts_multi_peak_chambers():
+    # theta_1 and theta_2 have two and three peaks and Laurent weights
+    for n in (1, 2):
+        spec = conifold_theta(n)
+        assert len(peak_slices(spec)) == n + 1
+        for walkers in (1, 2):
+            det = lgv_det(walker_graph(spec, walkers, 4))
+            assert det == enumerate_z_rows(spec, 4, walkers), (n, walkers)
 
 
 def test_profile_bijection_small_battery():
@@ -245,21 +252,23 @@ def test_profile_bijection_node_guard():
 
 
 def test_profile_bijection_finds_the_peak_once(monkeypatch):
+    # one potential step table per check, shared by the graph and the search
     calls = []
-    peak_slices = lgv.peak_slices
+    table = lgv.potential_steps
 
-    def counting(spec):
+    def counting(spec, degree):
         calls.append(spec)
-        return peak_slices(spec)
+        return table(spec, degree)
 
-    monkeypatch.setattr(lgv, "peak_slices", counting)
+    monkeypatch.setattr(lgv, "potential_steps", counting)
     assert profile_bijection_check(conifold_theta(0), 2, 2)
     assert len(calls) == 1
 
 
 def families_checked(monkeypatch):
-    """For c3 and theta_0, walkers 1-4 and degree 0-4: (case, families that
-    reach the per-family verdict, families the row-restricted sweep counts)."""
+    """For c3, theta_0 and theta_1, walkers 1-4 and degree 0-4: (case,
+    families that reach the per-family verdict, families the row-restricted
+    sweep counts)."""
     seen = []
     verdict = lgv._family_verdict
 
@@ -269,14 +278,14 @@ def families_checked(monkeypatch):
 
     monkeypatch.setattr(lgv, "_family_verdict", counting)
     out = []
-    for spec in (c3_chamber(), conifold_theta(0)):
+    for spec in (c3_chamber(), conifold_theta(0), conifold_theta(1)):
         for walkers in (1, 2, 3, 4):
             for degree in range(5):
                 seen.clear()
                 assert profile_bijection_check(spec, walkers, degree)
                 # every family is a monomial of coefficient 1 and degree <= degree
                 total = sum(enumerate_z_rows(spec, degree, walkers).terms.values())
-                out.append(((spec.L, walkers, degree), len(seen), total))
+                out.append(((spec.theta, walkers, degree), len(seen), total))
     return out
 
 
@@ -312,11 +321,13 @@ def test_bijection_search_size_is_pinned():
         assert profile_bijection_check(spec, walkers, degree, node_guard=nodes)
 
 
-def wide_steps(spec, peak, weights, degree):
-    """The steps the walker graphs spanned before the window was derived,
-    -(D+2)L <= t < (D+2)L, each with the exponents of its rise or drop run
-    even where that run's degree exceeds the cutoff."""
-    L = len(weights)
+def wide_steps(spec, degree):
+    """The steps the walker graphs of a single-peak chamber spanned before
+    the window was derived, -(D+2)L <= t < (D+2)L, each with the exponents of
+    its rise or drop run even where that run's degree exceeds the cutoff."""
+    (peak,) = peak_slices(spec)
+    weights = [w.exponents for w in chamber_weights(spec)]
+    L = spec.L
 
     def run(lo, hi):
         return tuple(sum(weights[u % L][i] for u in range(lo, hi + 1)) for i in range(L))
@@ -376,7 +387,7 @@ def test_derived_walker_window_changes_no_path_sum(monkeypatch):
     for spec, walkers, degree in window_cases():
         derived = walker_outputs(monkeypatch, spec, walkers, degree)
         with monkeypatch.context() as m:
-            m.setattr(lgv, "_walker_steps", wide_steps)
+            m.setattr(lgv, "potential_steps", wide_steps)
             m.setattr(lgv, "WeightedDag", without_zero_edges)
             wide = walker_outputs(m, spec, walkers, degree)
         assert derived == wide, (spec, walkers, degree)
@@ -385,23 +396,29 @@ def test_derived_walker_window_changes_no_path_sum(monkeypatch):
 def test_zero_weight_edges_are_no_moves(monkeypatch):
     # the far steps of the wide table truncate their runs to zero-weight
     # edges; a walker that crossed one would rise for free
-    monkeypatch.setattr(lgv, "_walker_steps", wide_steps)
+    monkeypatch.setattr(lgv, "potential_steps", wide_steps)
     for walkers, degree in ((2, 2), (1, 3), (3, 3)):
         assert profile_bijection_check(c3_chamber(), walkers, degree), (walkers, degree)
 
 
 def test_walker_window_one_step_short_is_caught(monkeypatch):
-    steps = lgv._walker_steps
-    for short in (lambda *args: steps(*args)[1:], lambda *args: steps(*args)[:-1]):
-        changed = False
-        for spec in (c3_chamber(), conifold_theta(0)):
-            for walkers in (1, 2, 3):
-                for degree in range(1, 5):
-                    derived = path_matrix(walker_graph(spec, walkers, degree))
-                    with monkeypatch.context() as m:
-                        m.setattr(lgv, "_walker_steps", short)
-                        changed |= path_matrix(walker_graph(spec, walkers, degree)) != derived
-        assert changed
+    # a potential step table one step short at either end changes what the
+    # walker graphs and the slice sweep return
+    table = lgv.potential_steps
+    for short in (lambda *args: table(*args)[1:], lambda *args: table(*args)[:-1]):
+        walkers_changed = sweep_changed = False
+        for spec in (c3_chamber(), conifold_theta(0), conifold_theta(1)):
+            for degree in range(1, 5):
+                derived = [path_matrix(walker_graph(spec, w, degree)) for w in (1, 2, 3)]
+                swept = enumerate_z(spec, degree)
+                with monkeypatch.context() as m:
+                    m.setattr(lgv, "potential_steps", short)
+                    m.setattr(enumeration, "potential_steps", short)
+                    walkers_changed |= derived != [
+                        path_matrix(walker_graph(spec, w, degree)) for w in (1, 2, 3)
+                    ]
+                    sweep_changed |= enumerate_z(spec, degree) != swept
+        assert walkers_changed and sweep_changed
 
 
 def test_sink_lookahead_changes_no_path_sum(monkeypatch):
@@ -450,33 +467,29 @@ def test_walker_path_matrix_equals_the_graph_path_matrix():
         assert walker_path_matrix(spec, walkers, degree) == expected, (spec.L, walkers, degree)
 
 
-def shifted_chambers(L, shift):
-    """Every chamber with theta_i = 2i + 1 + 2 k_i, sum k_i = 0, |k_i| <= shift,
-    for every rho, as far as the images are distinct mod L."""
-    for rho in itertools.product((1, -1), repeat=L):
-        for k in itertools.product(range(-shift, shift + 1), repeat=L):
-            theta = tuple(2 * i + 1 + 2 * ki for i, ki in enumerate(k))
-            if sum(k) == 0 and len({t % (2 * L) for t in theta}) == L:
-                yield ChamberSpec(L, rho, theta)
-
-
 def test_walker_path_matrix_on_single_peak_chambers():
-    # the whole L = 2-4, |shift| <= 2 scan keeps its 28 genuine single-peak
-    # chambers; each runs with one and D walkers and a seeded count between
+    # the 28 genuine single-peak chambers of the L = 2-4, |shift| <= 2 scan,
+    # theta_0..theta_6 and a seeded sample of the rest of that scan, multi-peak
+    # and Laurent; each runs with one and D walkers and a seeded count between,
+    # against the graph's path matrix, and its D-walker determinant against
+    # the root-data product
     rng = random.Random(4181)
-    specs = [
+    scan = [ChamberSpec(*data) for L in (2, 3, 4) for data in shifted_chamber_data(L, 2)]
+    single = [
         spec
-        for L in (2, 3, 4)
-        for spec in shifted_chambers(L, 2)
+        for spec in scan
         if len(peak_slices(spec)) == 1 and all(w.is_genuine for w in chamber_weights(spec))
     ]
-    assert len(specs) == 28
+    assert len(single) == 28
+    rest = [spec for spec in scan if spec not in single]
+    specs = single + [conifold_theta(n) for n in range(7)] + rng.sample(rest, 24)
     for spec in specs:
         for degree in (3, 5):
             for walkers in (1, rng.randint(2, degree + 1), degree):
                 expected = graph_matrix(spec, walkers, degree)
                 got = walker_path_matrix(spec, walkers, degree)
                 assert got == expected, (spec, walkers, degree)
+            assert det_division_free(got) == chamber_product(spec, degree), (spec, degree)
 
 
 def test_walker_path_matrix_rejects_what_walker_graph_rejects():
@@ -486,8 +499,6 @@ def test_walker_path_matrix_rejects_what_walker_graph_rejects():
         with pytest.raises(ValueError) as got:
             walker_path_matrix(c3_chamber(), walkers, degree)
         assert str(got.value) == str(expected.value), (walkers, degree)
-    with pytest.raises(UnsupportedChamberError):
-        walker_path_matrix(conifold_theta(1), 2, 2)
 
 
 def test_lgv_route_builds_no_graph(monkeypatch):
