@@ -9,11 +9,12 @@ chamber, showing exactly where each one stabilizes.
 """
 
 from crystalmelt import (
-    c3_symbol,
+    c3_chamber,
+    chamber_prefactor,
+    chamber_symbol,
     conifold_product,
-    conifold_symbol,
+    conifold_theta,
     macmahon,
-    prefactor_cn,
     stabilized_toeplitz,
     toeplitz_det,
 )
@@ -46,13 +47,13 @@ def march(symbol, target, label):
 
 
 def main():
-    march(c3_symbol(DEGREE), macmahon(DEGREE), "single vertex, symbol determinant")
+    march(chamber_symbol(c3_chamber(), DEGREE), macmahon(DEGREE), "single vertex, symbol determinant")
 
     n = 1
-    pref = prefactor_cn(n, DEGREE)
+    pref = chamber_prefactor(conifold_theta(n), DEGREE)
     bare_target = conifold_product(n, DEGREE) * pref.invert()
     result = march(
-        conifold_symbol(n, DEGREE),
+        chamber_symbol(conifold_theta(n), DEGREE),
         bare_target.truncate(DEGREE),
         f"resolved chamber n={n}, bare symbol determinant",
     )

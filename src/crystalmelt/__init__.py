@@ -14,7 +14,6 @@ from .chambers import (
     chamber_weights,
     conifold_index,
     conifold_theta,
-    peak_slices,
     sigma,
     slice_rule,
     theta_inverse,
@@ -49,9 +48,8 @@ from .lgv import (
 )
 from .matrixmodel import (
     MatrixModelResult,
-    c3_symbol,
-    conifold_symbol,
-    prefactor_cn,
+    chamber_prefactor,
+    chamber_symbol,
     stabilized_toeplitz,
 )
 from .partitions import interlace_minus, interlace_plus
@@ -111,15 +109,15 @@ __all__ = [
     "binomial_factor",
     "box_budget",
     "c3_chamber",
-    "c3_symbol",
     "chamber_from_json_dict",
+    "chamber_prefactor",
     "chamber_product",
+    "chamber_symbol",
     "chamber_to_json_dict",
     "chamber_weight",
     "chamber_weights",
     "conifold_index",
     "conifold_product",
-    "conifold_symbol",
     "conifold_theta",
     "det_division_free",
     "enumerate_z",
@@ -133,8 +131,6 @@ __all__ = [
     "mirror_map",
     "nonintersecting_bruteforce",
     "path_matrix",
-    "peak_slices",
-    "prefactor_cn",
     "product_over_k",
     "profile_bijection_check",
     "random_curve_params",

@@ -15,8 +15,6 @@ consistent with the chamber product formulas.
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedChamberError
-
 
 @dataclass(frozen=True)
 class ChamberSpec:
@@ -142,26 +140,6 @@ def conifold_index(spec):
         if n >= 0 and spec.theta == (1 - 2 * n, 3 + 2 * n):
             return n
     return None
-
-
-def peak_slices(spec):
-    """Slices p where the rule pattern turns from ascending to descending.
-
-    Far enough left every step ascends and far enough right every step
-    descends, so the transitions all live in a window controlled by the
-    theta images; the scan radius below over-covers it.
-    """
-    radius = max(abs(t) for t in spec.theta) // 2 + 2 * spec.L + 2
-    directions = {
-        i: slice_rule(spec, i).direction == "ascending"
-        for i in range(-radius - 1, radius + 1)
-    }
-    if not directions[-radius - 1] or directions[radius]:
-        raise UnsupportedChamberError("rule pattern does not stabilize in scan window")
-    peaks = [p for p in range(-radius, radius + 1) if directions[p - 1] and not directions[p]]
-    if not peaks:
-        raise UnsupportedChamberError("no ascending-to-descending transition found")
-    return peaks
 
 
 def potential_steps(spec, degree, window=None):

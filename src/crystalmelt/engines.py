@@ -11,20 +11,21 @@ verify_all takes the product and Toeplitz values it checks from here.
   conifold ladder theta_n (box_budget decides).
 - product: the root-data product of products.chamber_product, for every
   chamber.
-- toeplitz: the stabilized Toeplitz determinant of the c3 walker symbol, or
-  the theta_n symbol times its prefactor C_n.
+- toeplitz: the stabilized Toeplitz determinant of the chamber's walker
+  symbol times its prefactor, both read off the potential step table
+  (matrixmodel.chamber_symbol, matrixmodel.chamber_prefactor), for every
+  chamber.
 - lgv: the determinant of the walker path matrix, summed by in-place
   transfer over the potential step table (lgv.walker_path_matrix), for
   every chamber.
 
-A chamber outside a route's reach raises UnsupportedChamberError.
+Only enumerate refuses chambers: one outside its reach raises
+UnsupportedChamberError.
 """
 
-from .chambers import c3_chamber, conifold_index
 from .enumeration import enumerate_z
-from .errors import UnsupportedChamberError
 from .lgv import walker_path_matrix
-from .matrixmodel import c3_symbol, conifold_symbol, prefactor_cn, stabilized_toeplitz
+from .matrixmodel import chamber_prefactor, chamber_symbol, stabilized_toeplitz
 from .products import chamber_product
 from .series import det_division_free
 
@@ -45,14 +46,6 @@ def engine_series(name, spec, degree):
     if name == "product":
         return chamber_product(spec, degree), {}
     if name == "toeplitz":
-        if spec == c3_chamber():
-            res = stabilized_toeplitz(c3_symbol(degree), degree)
-            return res.value, {"stabilized_at": res.stabilized_at}
-        n = conifold_index(spec)
-        if n is None:
-            raise UnsupportedChamberError(
-                "the determinant route is wired for c3 and conifold chambers"
-            )
-        res = stabilized_toeplitz(conifold_symbol(n, degree), degree)
-        return prefactor_cn(n, degree) * res.value, {"stabilized_at": res.stabilized_at}
+        res = stabilized_toeplitz(chamber_symbol(spec, degree), degree)
+        return chamber_prefactor(spec, degree) * res.value, {"stabilized_at": res.stabilized_at}
     raise ValueError(f"unknown engine {name!r}")

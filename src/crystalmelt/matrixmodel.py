@@ -23,6 +23,32 @@ identically zero coefficients at truncation D. Multiplying the lone lax
 factor last keeps the intermediate products strict and makes the window clip
 lossless.
 
+Chamber symbols. A chamber's partition function is the vacuum expectation
+of one vertex operator per step of its potential step table
+(chambers.potential_steps), in time order: step t carries x^e_t, ascending
+steps raise and descending steps lower, and the relation picks the bosonic
+("plus") or fermionic ("minus") operator (Okounkov-Reshetikhin). Moving a
+descending operator d right past an ascending one a < d gives the pair
+factor 1 / (1 - x^(e_a + e_d)) when the two relations match and
+(1 + x^(e_a + e_d)) when they differ, so Z is the product of the pair
+factors over all pairs a < d. The Toeplitz determinant of the symbol
+prod (1 + x^e_a z) or 1 / (1 - x^e_a z) over ascending steps times the same
+in z^{-1} over descending ones is, in the limit N -> infinity, the product of
+the pair factors over every (ascending, descending) pair, in whatever time
+order (Gessel; Szegő's strong limit as made exact by Borodin-Okounkov).
+
+Split lemma. Cut the table at its last ascending step; the descending steps
+before it are dropped, every other step is kept. Every kept descending step
+follows every ascending step, so the determinant of the kept symbol
+(chamber_symbol) is the product of the pair factors over the pairs a < d
+with d kept, and Z is that determinant times the pair factors over the
+pairs a < d with d dropped (chamber_prefactor). A pair factor has degree
+deg(e_a + e_d) >= deg e_a, deg e_d, and the steps outside the table are
+priced above D, so the table holds every pair factor below the cutoff. Only
+a* has e = 0; it is the lax factor (1 + z). When a* is "minus" every
+relation is flipped first: that transposes every partition, which leaves Z
+unchanged and the pair factors too.
+
 Division lemma: a denominator factor 1 - u z^{+-1} with deg u >= 1 has the
 strict inverse sum_j u^j z^{+-j}, so a strict symbol divided by it stays
 strict: its z^m coefficient has valuation >= |m|, hence vanishes for
@@ -34,16 +60,13 @@ inverse is needed.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import add
 from typing import NamedTuple
 
+from .chambers import potential_steps
 from .errors import StabilizationFailureError
-from .series import (
-    LaurentSymbol,
-    TruncatedSeries,
-    binomial_factor,
-    product_over_k,
-)
+from .series import LaurentSymbol, TruncatedSeries, binomial_factor
 
 
 class MatrixModelResult(NamedTuple):
@@ -127,69 +150,65 @@ def _to_symbol(num_vars: int, cutoff: int, window: int, coeffs: dict) -> Laurent
     )
 
 
-def c3_symbol(cutoff: int) -> LaurentSymbol:
-    """Hopping weights for plane partitions: prod_k (1+z q^k)(1+z^-1 q^k), k >= 1,
-    times the lax factor (1 + z). Each factor is applied as a shift-and-add."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    window = cutoff + 1
-    f = {0: {(0,): 1}}
-    for k in range(1, cutoff + 1):
-        f = _times_linear(f, cutoff, window, 1, (k,), 1)
-        f = _times_linear(f, cutoff, window, -1, (k,), 1)
-    f = _times_linear(f, cutoff, window, 1, (0,), 1)
-    return _to_symbol(1, cutoff, window, f)
+def _split_steps(spec, degree):
+    """The potential step table cut at its last ascending step, as (kept,
+    dropped): dropped holds the descending steps before that step, kept every
+    other step. Each step is (t, plus, ascending, e_t), with every relation
+    flipped when the degree-0 step a* is "minus"."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    steps = potential_steps(spec, degree)
+    flip = any(sum(e) == 0 and rule.relation == "minus" for _, rule, e in steps)
+    steps = [
+        (t, (rule.relation == "plus") != flip, rule.direction == "ascending", e)
+        for t, rule, e in steps
+    ]
+    last_up = max(t for t, _, up, _ in steps if up)
+    kept = [s for s in steps if s[2] or s[0] > last_up]
+    dropped = [s for s in steps if not s[2] and s[0] < last_up]
+    return kept, dropped
 
 
-def conifold_symbol(n: int, cutoff: int) -> LaurentSymbol:
-    """Hopping weights for the two-node chamber theta_n, in (q0, q1).
-
-    Strict part: prod_k (1 + q0^k q1^k z)(1 + q0^k q1^k z^-1) over k >= 1,
-    divided by prod_k (1 - q0^k q1^(k+1) z)(1 - q0^(k+1) q1^k z^-1) over
-    k >= 0, then the n chamber factors (1 - q0^k q1^(k-1) z^-1), k = 1..n.
-    Every linear factor is applied as a shift-and-add and every denominator
-    factor divided out in turn by _divide_linear; each of these is exact
-    because the partial products stay strict (module docstring). The lax
-    (1 + z) comes last.
-    """
-    if n < 0:
-        raise ValueError("chamber index n must be >= 0")
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    window = cutoff + 1
-    f = {0: {(0, 0): 1}}
-    for k in range(1, cutoff // 2 + 1):
-        f = _times_linear(f, cutoff, window, 1, (k, k), 1)
-        f = _times_linear(f, cutoff, window, -1, (k, k), 1)
-    for k in range((cutoff + 1) // 2):
-        f = _divide_linear(f, cutoff, window, 1, (k, k + 1))
-        f = _divide_linear(f, cutoff, window, -1, (k + 1, k))
-    for k in range(1, n + 1):
-        f = _times_linear(f, cutoff, window, -1, (k, k - 1), -1)
-    f = _times_linear(f, cutoff, window, 1, (0, 0), 1)
-    return _to_symbol(2, cutoff, window, f)
+def chamber_symbol(spec, degree: int) -> LaurentSymbol:
+    """The walker symbol over the kept steps of the chamber's potential step
+    table: (1 + x^e_t z^{+-1}) for a "plus" step and 1 / (1 - x^e_t z^{+-1})
+    for a "minus" one, with z^{+1} on ascending steps and z^{-1} on
+    descending ones, and the lax (1 + z) of a* last (module docstring)."""
+    kept, _ = _split_steps(spec, degree)
+    window = degree + 1
+    f = {0: {(0,) * spec.L: 1}}
+    for _, plus, up, e in kept:
+        if sum(e) == 0:
+            continue
+        zpow = 1 if up else -1
+        if plus:
+            f = _times_linear(f, degree, window, zpow, e, 1)
+        else:
+            f = _divide_linear(f, degree, window, zpow, e)
+    f = _times_linear(f, degree, window, 1, (0,) * spec.L, 1)
+    return _to_symbol(spec.L, degree, window, f)
 
 
-def prefactor_cn(n: int, cutoff: int) -> TruncatedSeries:
-    """Ratio between the crystal sum and the determinant for chamber theta_n:
-
-        C_n = prod_{k=1}^{n} (1 - q^k)^(-k)
-            * prod_{k>n} (1 + q0^k q1^(k-1))^n (1 - q^k)^(-n)
-
-    with q = q0*q1. C_0 = 1, and for n at or beyond the cutoff only the first
-    product survives, collapsing to MacMahon's function in q.
-    """
-    if n < 0:
-        raise ValueError("chamber index n must be >= 0")
-    out = TruncatedSeries.one(2, cutoff)
-    for k in range(1, min(n, cutoff) + 1):
-        out = out * binomial_factor(2, cutoff, (k, k), -k, sign=-1)
-    if n > 0:
-        out = out * product_over_k(
-            lambda j: binomial_factor(2, cutoff, (n + j, n + j - 1), n, sign=1)
-            * binomial_factor(2, cutoff, (n + j, n + j), -n, sign=-1),
-            cutoff,
-        )
+def chamber_prefactor(spec, degree: int) -> TruncatedSeries:
+    """Z over the determinant of chamber_symbol: the product over the pairs
+    of a dropped descending step d and an ascending step a < d with
+    deg(e_a + e_d) <= degree of 1 / (1 - x^(e_a + e_d)) when their relations
+    match and (1 + x^(e_a + e_d)) when they differ (module docstring)."""
+    kept, dropped = _split_steps(spec, degree)
+    powers = Counter()
+    for d, d_plus, _, d_e in dropped:
+        room = degree - sum(d_e)
+        for a, a_plus, up, a_e in kept:
+            if a > d:
+                break
+            if up and sum(a_e) <= room:
+                powers[tuple(map(add, a_e, d_e)), a_plus == d_plus] += 1
+    out = TruncatedSeries.one(spec.L, degree)
+    for (v, match), k in powers.items():
+        if match:
+            out = out * binomial_factor(spec.L, degree, v, -k, sign=-1)
+        else:
+            out = out * binomial_factor(spec.L, degree, v, k, sign=1)
     return out
 
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .chambers import conifold_theta
 from .enumeration import enumerate_z
 from .errors import SingularParametersError, UnsupportedChamberError
-from .matrixmodel import prefactor_cn
+from .matrixmodel import chamber_prefactor
 from .products import spp_top_squared
 from .series import binomial_factor, product_over_k
 
@@ -140,8 +140,8 @@ def _spp_identity_sides(n: int, degree: int):
         raise UnsupportedChamberError("the squared identity is exercised at n >= 1")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    z = enumerate_z(conifold_theta(n), degree)
-    lhs = z * prefactor_cn(n, degree).invert()
+    spec = conifold_theta(n)
+    lhs = enumerate_z(spec, degree) * chamber_prefactor(spec, degree).invert()
     lhs = lhs * lhs
     rhs = spp_top_squared(n, degree) * product_over_k(
         lambda k: binomial_factor(2, degree, (k, k), k, sign=-1), degree

@@ -26,7 +26,7 @@ from .lgv import (
     walker_graph,
     walker_path_matrix,
 )
-from .matrixmodel import conifold_symbol, prefactor_cn
+from .matrixmodel import chamber_prefactor, chamber_symbol
 from .products import macmahon_two_var, wall_factor
 from .series import LaurentSymbol, TruncatedSeries, det_division_free
 from .spectral import (
@@ -153,7 +153,7 @@ def _geometric_symbol(cutoff, window, zpow, exps):
 def _conifold_symbol_direct(cutoff):
     """The n=0 walker symbol assembled from per-factor geometric expansions.
 
-    This takes a different route from conifold_symbol: every denominator
+    This takes a different route from chamber_symbol: every denominator
     factor is replaced by its explicit geometric series before multiplying
     out, with no graded-inverse division anywhere.
     """
@@ -172,7 +172,7 @@ def _conifold_symbol_direct(cutoff):
 def _run_conifold_toeplitz(Dmax, nmax, fault, rng, cache):
     bad = []
     dd = min(4, Dmax)
-    built = conifold_symbol(0, dd)
+    built = chamber_symbol(conifold_theta(0), dd)
     direct = _conifold_symbol_direct(dd)
     for m in sorted(set(built.coeffs) | set(direct.coeffs)):
         bad += _series_mismatches(built.coefficient(m), direct.coefficient(m), limit=1, zpow=m)
@@ -193,12 +193,13 @@ def _run_conifold_toeplitz(Dmax, nmax, fault, rng, cache):
 def _run_prefactor_collapse(Dmax, nmax, fault, rng, cache):
     bad = []
     for d in range(min(10, Dmax) + 1):
-        bad += _series_mismatches(prefactor_cn(0, d), TruncatedSeries.one(2, d), degree=d)
+        c0 = chamber_prefactor(conifold_theta(0), d)
+        bad += _series_mismatches(c0, TruncatedSeries.one(2, d), degree=d)
     d = min(8, Dmax)
     target = macmahon_two_var(d)
     ns = (d, d + 1, d + 5)
     for n in ns:
-        lhs = prefactor_cn(n, d)
+        lhs = chamber_prefactor(conifold_theta(n), d)
         if n == ns[-1]:
             lhs = _flip(lhs, 5, fault)
         bad += _series_mismatches(lhs, target, n=n)

@@ -107,6 +107,27 @@ def shifted_chamber_data(L, shift):
                 yield L, rho, theta
 
 
+def peak_slices(spec):
+    """Slices p where the step pattern of the chamber spec (any object with
+    L and the doubled theta images) turns from ascending to descending.
+
+    Step i ascends when theta^{-1}(i + 1/2) < 0, with theta extended from its
+    images on 1/2, ..., L - 1/2 by theta(h + L) = theta(h) + L. Far enough
+    left every step ascends and far enough right every step descends; the
+    scan radius below over-covers the turns."""
+    L, theta = spec.L, spec.theta
+
+    def ascends(i):
+        h2 = 2 * i + 1
+        # doubled, theta^{-1}(h2) = 2r + 1 + h2 - theta_r for the r with
+        # theta_r = h2 mod 2L
+        r, t = next((r, t) for r, t in enumerate(theta) if (h2 - t) % (2 * L) == 0)
+        return 2 * r + 1 + h2 - t < 0
+
+    radius = max(map(abs, theta)) // 2 + 2 * L + 2
+    return [p for p in range(-radius, radius + 1) if ascends(p - 1) and not ascends(p)]
+
+
 def read_series_json(data):
     """The (number of variables, cutoff, terms) a series JSON dict describes:
     the reader side of the JSON round trip. An exponent vector whose length

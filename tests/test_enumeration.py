@@ -40,9 +40,11 @@ def test_degree_zero_is_one_everywhere():
     for spec in (c3_chamber(), conifold_theta(0), conifold_theta(2)):
         z = enumerate_z(spec, 0)
         assert z == TruncatedSeries.one(spec.L, 0)
-    # the sweep window has no slice at degree 0; lgv on a Laurent chamber too
+    # the sweep window has no slice at degree 0; lgv and toeplitz on a
+    # Laurent chamber too
     for spec in (conifold_theta(2), ChamberSpec(3, (1, 1, 1), (3, 1, 5))):
-        assert engine_series("lgv", spec, 0)[0] == TruncatedSeries.one(spec.L, 0)
+        for name in ("lgv", "toeplitz"):
+            assert engine_series(name, spec, 0)[0] == TruncatedSeries.one(spec.L, 0), name
 
 
 def test_degree_validation():

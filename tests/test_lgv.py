@@ -25,10 +25,10 @@ from crystalmelt import (
     walker_graph,
     walker_path_matrix,
 )
-from crystalmelt import WeightedDag, chamber_product, chamber_weights, enumeration, lgv, peak_slices
+from crystalmelt import WeightedDag, chamber_product, chamber_weights, enumeration, lgv
 from crystalmelt.engines import engine_series
 from crystalmelt.lgv import _paths_between
-from oracles import shifted_chamber_data
+from oracles import peak_slices, shifted_chamber_data
 
 
 def w_monomial(i, cutoff=4):

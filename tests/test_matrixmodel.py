@@ -5,21 +5,46 @@ import random
 import pytest
 
 from crystalmelt import (
+    ChamberSpec,
     LaurentSymbol,
     NotInvertibleError,
     StabilizationFailureError,
     TruncatedSeries,
-    c3_symbol,
-    conifold_symbol,
+    binomial_factor,
+    c3_chamber,
+    chamber_prefactor,
+    chamber_product,
+    chamber_symbol,
     conifold_theta,
     enumerate_z,
     macmahon,
     macmahon_two_var,
-    prefactor_cn,
+    product_over_k,
     stabilized_toeplitz,
     toeplitz_det,
 )
+from crystalmelt import matrixmodel
+from crystalmelt.engines import engine_series
 from crystalmelt.matrixmodel import _divide_linear, _times_linear, _to_symbol
+from oracles import shifted_chamber_data
+
+
+def closed_form_cn(n, cutoff):
+    """The theta_n prefactor in closed form, with q = q0 q1:
+
+        C_n = prod_{k=1}^{n} (1 - q^k)^(-k)
+            * prod_{k>n} (1 + q0^k q1^(k-1))^n (1 - q^k)^(-n)
+    """
+    out = TruncatedSeries.one(2, cutoff)
+    for k in range(1, min(n, cutoff) + 1):
+        out = out * binomial_factor(2, cutoff, (k, k), -k, sign=-1)
+    if n > 0:
+        out = out * product_over_k(
+            lambda j: binomial_factor(2, cutoff, (n + j, n + j - 1), n, sign=1)
+            * binomial_factor(2, cutoff, (n + j, n + j), -n, sign=-1),
+            cutoff,
+        )
+    return out
 
 
 def _linear(num_vars, cutoff, window, zpow, exps, sign):
@@ -39,7 +64,7 @@ def _symbol_inverse(f):
     is a0^{-1} sum_j (-S)^j; the sum terminates because each power of S climbs
     at least one q-degree. Intended for strict symbols (coefficient of z^m has
     valuation >= |m|), where the window clip during the powers drops nothing.
-    The reference that conifold_symbol's factor-by-factor division is
+    The reference that chamber_symbol's factor-by-factor division is
     compared against.
     """
     a0_inv = f.coefficient(0).invert()
@@ -70,23 +95,23 @@ def _symbol_inverse(f):
 
 
 def test_c3_symbol_coefficient_exemplars():
-    f1 = c3_symbol(1)
+    f1 = chamber_symbol(c3_chamber(), 1)
     # G_0 at degree 1: the z^0 part of (1+z)(1+qz)(1+q/z) is 1 + q
     g0 = f1.coefficient(0)
     assert g0.terms == {(0,): 1, (1,): 1}
-    f0 = c3_symbol(0)
+    f0 = chamber_symbol(c3_chamber(), 0)
     assert f0.coefficient(1).terms == {(0,): 1}
     assert f0.coefficient(2).is_zero()
 
 
 def test_c3_symbol_window():
-    f = c3_symbol(4)
+    f = chamber_symbol(c3_chamber(), 4)
     assert f.window == 5
     assert all(abs(m) <= 5 for m in f.coeffs)
 
 
 def general_product_symbols(d):
-    """c3_symbol(d) and conifold_symbol(n, d), n = 0..4, rebuilt factor by
+    """The chamber symbols of c3 and theta_n, n = 0..4, rebuilt factor by
     factor as general symbol products, the conifold denominator through
     _symbol_inverse of the whole product."""
     w = d + 1
@@ -112,9 +137,9 @@ def general_product_symbols(d):
 def test_shift_and_add_symbols_match_general_products():
     for d in range(14):
         c3, conifold = general_product_symbols(d)
-        assert c3_symbol(d) == c3, d
+        assert chamber_symbol(c3_chamber(), d) == c3, d
         for n, expected in enumerate(conifold):
-            assert conifold_symbol(n, d) == expected, (n, d)
+            assert chamber_symbol(conifold_theta(n), d) == expected, (n, d)
 
 
 def test_symbol_inverse_is_two_sided_on_strict_symbols():
@@ -160,16 +185,16 @@ def test_conifold_symbol_chamber_factor_recursion():
     # moving from theta_0 to theta_1 multiplies the symbol by (1 - q0/z)
     d = 5
     step = _linear(2, d, d + 1, -1, (1, 0), -1)
-    assert conifold_symbol(1, d) == conifold_symbol(0, d) * step
+    assert chamber_symbol(conifold_theta(1), d) == chamber_symbol(conifold_theta(0), d) * step
     # and theta_2 adds (1 - q0^2 q1 / z) on top
     step2 = _linear(2, d, d + 1, -1, (2, 1), -1)
-    assert conifold_symbol(2, d) == conifold_symbol(1, d) * step2
+    assert chamber_symbol(conifold_theta(2), d) == chamber_symbol(conifold_theta(1), d) * step2
 
 
 def test_prefactor_small_values():
-    assert prefactor_cn(0, 6) == TruncatedSeries.one(2, 6)
+    assert chamber_prefactor(conifold_theta(0), 6) == TruncatedSeries.one(2, 6)
     # C_1 through degree 3 by hand: (1-q0q1)^{-1} (1+q0^2q1) ...
-    c1 = prefactor_cn(1, 3)
+    c1 = chamber_prefactor(conifold_theta(1), 3)
     assert c1.coefficient((0, 0)) == 1
     assert c1.coefficient((1, 1)) == 1
     assert c1.coefficient((2, 1)) == 1
@@ -179,7 +204,13 @@ def test_prefactor_small_values():
 def test_prefactor_collapse_at_large_n():
     d = 6
     for n in (d, d + 1, d + 3):
-        assert prefactor_cn(n, d) == macmahon_two_var(d)
+        assert chamber_prefactor(conifold_theta(n), d) == macmahon_two_var(d)
+
+
+def test_step_pair_prefactor_equals_the_closed_form_cn():
+    for d in range(13):
+        for n in range(d + 7):
+            assert chamber_prefactor(conifold_theta(n), d) == closed_form_cn(n, d), (n, d)
 
 
 def test_stabilized_toeplitz_identity_symbol():
@@ -192,17 +223,17 @@ def test_stabilized_toeplitz_identity_symbol():
 
 def test_stabilized_toeplitz_c3():
     d = 5
-    res = stabilized_toeplitz(c3_symbol(d), d)
+    res = stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d)
     assert res.value == macmahon(d)
     assert res.stabilized_at <= 40
     # the plateau is real: a larger matrix gives the same truncation
-    wider = toeplitz_det(c3_symbol(d), res.stabilized_at + 2).truncate(d)
+    wider = toeplitz_det(chamber_symbol(c3_chamber(), d), res.stabilized_at + 2).truncate(d)
     assert wider == res.value
 
 
 def test_stabilized_toeplitz_history_records_the_plateau():
     d = 4
-    res = stabilized_toeplitz(c3_symbol(d), d)
+    res = stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d)
     sizes = sorted(res.history)
     assert sizes[0] == d + 1
     assert sizes == list(range(d + 1, res.stabilized_at + 2))
@@ -211,8 +242,8 @@ def test_stabilized_toeplitz_history_records_the_plateau():
 
 def test_growing_factorization_matches_per_size_determinants():
     for d in (6, 8):
-        symbols = {"c3": c3_symbol(d)}
-        symbols.update({f"theta{n}": conifold_symbol(n, d) for n in (0, 1, 2)})
+        symbols = {"c3": chamber_symbol(c3_chamber(), d)}
+        symbols.update({f"theta{n}": chamber_symbol(conifold_theta(n), d) for n in (0, 1, 2)})
         for name, f in symbols.items():
             res = stabilized_toeplitz(f, d)
             for size, det in res.history.items():
@@ -232,8 +263,8 @@ def test_zero_leading_minor_is_rejected_with_its_size():
 def test_stabilized_toeplitz_conifold_with_prefactor():
     d = 4
     for n in (0, 1):
-        res = stabilized_toeplitz(conifold_symbol(n, d), d)
-        got = prefactor_cn(n, d) * res.value
+        res = stabilized_toeplitz(chamber_symbol(conifold_theta(n), d), d)
+        got = chamber_prefactor(conifold_theta(n), d) * res.value
         assert got == enumerate_z(conifold_theta(n), d), n
 
 
@@ -247,6 +278,41 @@ def test_stabilization_failure_is_detected():
 
 def test_stabilized_toeplitz_validation():
     with pytest.raises(ValueError):
-        stabilized_toeplitz(c3_symbol(3), -1)
+        stabilized_toeplitz(chamber_symbol(c3_chamber(), 3), -1)
     with pytest.raises(ValueError):
-        stabilized_toeplitz(c3_symbol(3), 4)
+        stabilized_toeplitz(chamber_symbol(c3_chamber(), 3), 4)
+
+
+def scan_sample():
+    """(chamber, degree): all 28 chambers of the L = 2, |shift| <= 3 scan at
+    degree 6 and a seeded 80 from each of the scans L = 3, |shift| <= 3 at
+    degree 5; L = 3, <= 4 at 4; L = 4, <= 2 at 4; L = 5, <= 1 at 4."""
+    rng = random.Random(1414)
+    scans = ((2, 3, 6, 28), (3, 3, 5, 80), (3, 4, 4, 80), (4, 2, 4, 80), (5, 1, 4, 80))
+    for L, shift, degree, count in scans:
+        scan = [ChamberSpec(*data) for data in shifted_chamber_data(L, shift)]
+        for spec in rng.sample(scan, count):
+            yield spec, degree
+
+
+def test_toeplitz_equals_product_and_lgv_on_every_chamber():
+    # multi-peak, Laurent and "minus"-lax chambers alike; the plateau comes
+    # at the first pair of sizes tried
+    for spec, degree in scan_sample():
+        z, extras = engine_series("toeplitz", spec, degree)
+        assert z == chamber_product(spec, degree), (spec, degree)
+        assert z == engine_series("lgv", spec, degree)[0], (spec, degree)
+        assert extras["stabilized_at"] == degree + 1, (spec, degree)
+
+
+def test_swapped_pair_rule_is_caught(monkeypatch):
+    # the prefactor with 1 / (1 - x^v) for differing relations and (1 + x^v)
+    # for matching ones must disagree with the product somewhere
+    real = matrixmodel.binomial_factor
+
+    def swapped(num_vars, cutoff, exps, exponent, sign):
+        return real(num_vars, cutoff, exps, -exponent, sign=-sign)
+
+    monkeypatch.setattr(matrixmodel, "binomial_factor", swapped)
+    scan = [ChamberSpec(*data) for data in shifted_chamber_data(3, 2)]
+    assert any(engine_series("toeplitz", spec, 5)[0] != chamber_product(spec, 5) for spec in scan)

@@ -12,8 +12,7 @@ from crystalmelt import (
     TruncatedSeries,
     binomial_factor,
     c3_chamber,
-    c3_symbol,
-    conifold_symbol,
+    chamber_symbol,
     conifold_theta,
     det_division_free,
     path_matrix,
@@ -321,8 +320,8 @@ def test_det_division_free_matches_cofactor_expansion(monkeypatch):
 
 def test_det_division_free_matches_berkowitz_on_engine_matrices():
     d = 6
-    symbols = [c3_symbol(d)] + [conifold_symbol(n, d) for n in (0, 1, 2)]
-    for f in symbols:
+    for spec in [c3_chamber()] + [conifold_theta(n) for n in (0, 1, 2)]:
+        f = chamber_symbol(spec, d)
         for size in range(1, d + 3):
             m = [[f.coefficient(i - j) for j in range(size)] for i in range(size)]
             assert toeplitz_det(f, size) == _berkowitz(m)
