@@ -12,7 +12,6 @@ from .chambers import (
     c3_chamber,
     chamber_weight,
     chamber_weights,
-    conifold_index,
     conifold_theta,
     sigma,
     slice_rule,
@@ -20,7 +19,6 @@ from .chambers import (
     theta_value,
 )
 from .enumeration import (
-    box_budget,
     enumerate_z,
     enumerate_z_rows,
     enumerate_z_transposed,
@@ -107,7 +105,6 @@ __all__ = [
     "UnsupportedChamberError",
     "WeightedDag",
     "binomial_factor",
-    "box_budget",
     "c3_chamber",
     "chamber_from_json_dict",
     "chamber_prefactor",
@@ -116,7 +113,6 @@ __all__ = [
     "chamber_to_json_dict",
     "chamber_weight",
     "chamber_weights",
-    "conifold_index",
     "conifold_product",
     "conifold_theta",
     "det_division_free",

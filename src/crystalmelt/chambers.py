@@ -62,11 +62,6 @@ class WeightMonomial:
     def total_degree(self):
         return sum(self.exponents)
 
-    @property
-    def is_genuine(self):
-        """Non-negative exponents with at least one box of degree."""
-        return all(e >= 0 for e in self.exponents) and self.total_degree >= 1
-
 
 def c3_chamber():
     return ChamberSpec(1, (1,), (1,))
@@ -112,8 +107,7 @@ def slice_rule(spec, i):
 def chamber_weight(spec, i):
     """The monomial q_i^theta: the product of consecutive q's between
     theta^{-1}(i - 1/2) and theta^{-1}(i + 1/2), inverted when they are
-    out of order. Laurent exponents are allowed; enumerate_z decides
-    whether the chamber as a whole is computable.
+    out of order. Laurent exponents are allowed.
     """
     if not 0 <= i < spec.L:
         raise ValueError("weight index must be a residue 0..L-1")

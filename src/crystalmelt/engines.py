@@ -7,8 +7,8 @@ the command line. The command line runs every engine through here, and
 verify_all takes the product and Toeplitz values it checks from here.
 
 - enumerate: the slice sweep over the window of the potential step table
-  (chambers.potential_steps), for chambers with genuine weights and for the
-  conifold ladder theta_n (box_budget decides).
+  (chambers.potential_steps), under a box budget read off the same table,
+  for every chamber.
 - product: the root-data product of products.chamber_product, for every
   chamber.
 - toeplitz: the stabilized Toeplitz determinant of the chamber's walker
@@ -18,9 +18,6 @@ verify_all takes the product and Toeplitz values it checks from here.
 - lgv: the determinant of the walker path matrix, summed by in-place
   transfer over the potential step table (lgv.walker_path_matrix), for
   every chamber.
-
-Only enumerate refuses chambers: one outside its reach raises
-UnsupportedChamberError.
 """
 
 from .enumeration import enumerate_z

@@ -9,13 +9,22 @@ last it runs a frontier of states (current partition, boxes spent per slice
 class, total boxes, degree so far) with multiplicity counts over the recorded
 steps only.
 
-Budget: with genuine weight monomials every box costs at least one unit of
-total degree, so "boxes <= D" is exact. Chambers of the conifold theta_n
-family have Laurent weights, but every configuration's monomial sits in the
-support of the chamber product, whose generators carry at most (2n+3)/3 boxes
-per unit of degree; hence the budget floor(D * (2n+3) / 3). A too-small
-budget would undercount and fail the cross-engine checks loudly, never agree
-falsely, and the widen-and-compare tests pin it empirically.
+Budget: the first stage caps the boxes of a configuration of degree <= D by
+a bound read off the potential step table (chambers.potential_steps, see
+"Potential" below). Split the profile of slice sizes |lam_t| into unit
+excursions: sizes grow only on ascending steps and shrink only on descending
+ones, so each level set {t : |lam_t| >= k} is a union of intervals, each
+opened by a rise at an ascending step a and closed by a drop at a descending
+step d > a. Such an excursion holds d - a boxes, one in each of the slices
+a+1..d, and costs e_a + e_d = Pi(d) - Pi(a), of degree >= 1 by the table's
+lemma; every unit rise and drop belongs to exactly one excursion, so the
+excursions' costs sum to the configuration's degree. Each of them then costs
+at most D, so with R the largest (d - a) / deg(e_a + e_d) over the pairs
+a < d with deg(e_a + e_d) <= D, the boxes number at most R D: at most the
+largest floor(D (d - a) / deg(e_a + e_d)) over those pairs, and 0 when there
+is none. The bound holds on every chamber. Both costs are >= 0, so both
+steps of such a pair are priced within D and lie in the table's default
+window: a wider window adds no pair and leaves the budget as it is.
 
 Lookahead: every step has a componentwise-least successor of mu. Ascending,
 both relations only add boxes, so it is mu itself; descending "+" drops one box
@@ -79,8 +88,7 @@ boxes of the first stage.
 from functools import lru_cache
 from itertools import groupby, product
 
-from .chambers import chamber_weights, conifold_index, potential_steps
-from .errors import UnsupportedChamberError
+from .chambers import chamber_weights, potential_steps
 from .partitions import interlace_minus, interlace_plus
 from .series import TruncatedSeries
 
@@ -204,18 +212,6 @@ def least_future(steps, i, lam, memo):
     return total
 
 
-def box_budget(spec, degree):
-    """Box count that certifiably covers every monomial of total degree <= degree."""
-    if all(w.is_genuine for w in chamber_weights(spec)):
-        return degree
-    n = conifold_index(spec)
-    if n is not None:
-        return (degree * (2 * n + 3)) // 3
-    raise UnsupportedChamberError(
-        "chamber has Laurent weights outside the conifold theta_n family"
-    )
-
-
 def _closes(rule, mu):
     """Whether the step out of the window, under rule, lands on the empty partition."""
     rel = interlace_plus if rule.relation == "plus" else interlace_minus
@@ -238,6 +234,24 @@ def _least_degree(graph, weights, ends):
             for mu, edges in graph[i].items()
         }
     return least
+
+
+def _box_budget(rules, pot, degree):
+    """Most boxes a configuration of degree <= degree can hold: the best boxes
+    per unit of degree over the rise-drop pairs priced within degree (module
+    docstring); rules[j] is step j's slice rule and pot[j] its cost."""
+    steps = list(enumerate(zip(rules, pot)))
+    rises = [(i, e) for i, (rule, e) in steps if rule.direction == "ascending"]
+    return max(
+        (
+            degree * (j - i) // (e + f)
+            for j, (rule, e) in steps
+            if rule.direction == "descending"
+            for i, f in rises
+            if i < j and e + f <= degree
+        ),
+        default=0,
+    )
 
 
 def _least_drop_ahead(rules, pot):
@@ -320,6 +334,8 @@ def _sweep(spec, degree, budget, transposed, max_rows, window=None):
         return {(0,) * L: 1}
     rules = [rule.flipped() if transposed else rule for _, rule, _ in table]
     pot = [sum(e) for _, _, e in table]
+    if budget is None:
+        budget = _box_budget(rules, pot, degree)
     classes = [(t + 1) % L for t, _, _ in table[:-1]]
     total_degree = [w.total_degree for w in chamber_weights(spec)]
     weights = [total_degree[c] for c in classes]
@@ -390,8 +406,6 @@ def _class_counts_to_terms(spec, degree, totals):
 def _enumerate(spec, degree, transposed, max_rows=None, window=None, budget=None):
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if budget is None:
-        budget = box_budget(spec, degree)
     totals = _sweep(spec, degree, budget, transposed, max_rows, window)
     terms = _class_counts_to_terms(spec, degree, totals)
     return TruncatedSeries(spec.L, degree, terms)

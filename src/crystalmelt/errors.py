@@ -22,7 +22,8 @@ class NonTerminatingProductError(CrystalMeltError):
 
 
 class UnsupportedChamberError(CrystalMeltError):
-    """Chamber outside the family this library can enumerate."""
+    """Conifold index below the range of spp_top_squared and
+    spp_identity_squared, which need n >= 1."""
 
 
 class StabilizationFailureError(CrystalMeltError):

@@ -107,6 +107,12 @@ def shifted_chamber_data(L, shift):
                 yield L, rho, theta
 
 
+def genuine_weights(weights):
+    """Whether every weight (any object with an exponent vector) has
+    non-negative exponents and at least one unit of total degree."""
+    return all(min(w.exponents) >= 0 and sum(w.exponents) >= 1 for w in weights)
+
+
 def peak_slices(spec):
     """Slices p where the step pattern of the chamber spec (any object with
     L and the doubled theta images) turns from ascending to descending.

@@ -8,15 +8,14 @@ from crystalmelt import (
     c3_chamber,
     chamber_weight,
     chamber_weights,
-    conifold_index,
     conifold_theta,
     sigma,
     slice_rule,
     theta_inverse,
     theta_value,
 )
-from crystalmelt.chambers import potential_steps
-from oracles import peak_slices, shifted_chamber_data
+from crystalmelt.chambers import conifold_index, potential_steps
+from oracles import genuine_weights, peak_slices, shifted_chamber_data
 
 
 def random_valid_chamber(rng, L):
@@ -129,8 +128,8 @@ def test_chamber_weight_exponents_for_known_chambers():
     w1 = chamber_weights(conifold_theta(1))
     # theta_1 trades a genuine weight for a Laurent one plus a heavier partner
     assert sorted(w.exponents for w in w1) == [(-1, 0), (2, 1)]
-    assert not all(w.is_genuine for w in w1)
-    assert all(w.is_genuine for w in w0)
+    assert not genuine_weights(w1)
+    assert genuine_weights(w0)
 
 
 def test_chamber_weight_index_validation():

@@ -148,7 +148,7 @@ def invalid_cases():
         ("enumerate", "--geometry", "c3", "--chamber", "1", "--degree", "2"),
         ("enumerate", "--geometry", "c3", "--degree", "-3"),
         ("lgv", "--geometry", "general",
-         "--chamber", '{"L": 3, "rho": [1, 1, 1], "theta": [3, 1, 5]}', "--degree", "2",
+         "--chamber", '{"L": 3, "rho": [1, 1, 1], "theta": [3, 1, 11]}', "--degree", "2",
          "--engines", "lgv,enumerate"),
         ("spectral", "--check", "mirror", "--q", "not-a-number"),
         ("spectral", "--check", "spp-identity", "--chamber", "0"),
@@ -158,7 +158,7 @@ def invalid_cases():
         ("enumerate", "--geometry", "general",
          "--chamber", '{"L": 2, "rho": [1, -1], "theta": null}', "--degree", "2"),
         ("enumerate", "--geometry", "general",
-         "--chamber", '{"L": 3, "rho": [1, 1, 1], "theta": [3, 1, 5]}', "--degree", "2"),
+         "--chamber", '{"L": 3, "rho": [1, 1, 1], "theta": [3, 9, -3]}', "--degree", "2"),
         ("spectral", "--check", "s3", "--trials", "-1"),
     ]
 

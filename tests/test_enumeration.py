@@ -9,9 +9,8 @@ import pytest
 from crystalmelt import (
     ChamberSpec,
     TruncatedSeries,
-    UnsupportedChamberError,
-    box_budget,
     c3_chamber,
+    chamber_product,
     chamber_weights,
     conifold_product,
     conifold_theta,
@@ -24,9 +23,16 @@ from crystalmelt import (
 )
 from crystalmelt import enumeration, interlace_minus, interlace_plus
 from crystalmelt.chambers import potential_steps
-from crystalmelt.engines import engine_series
+from crystalmelt.engines import ENGINES, engine_series
 from crystalmelt.enumeration import _enumerate
-from oracles import all_partitions_up_to, plane_partition_counts
+from oracles import all_partitions_up_to, genuine_weights, plane_partition_counts
+
+
+def box_budget(spec, d):
+    """The sweep's box budget, read off the potential step table."""
+    table = potential_steps(spec, d)
+    rules = [rule for _, rule, _ in table]
+    return enumeration._box_budget(rules, [sum(e) for _, _, e in table], d)
 
 
 def test_c3_counts_plane_partitions():
@@ -40,10 +46,10 @@ def test_degree_zero_is_one_everywhere():
     for spec in (c3_chamber(), conifold_theta(0), conifold_theta(2)):
         z = enumerate_z(spec, 0)
         assert z == TruncatedSeries.one(spec.L, 0)
-    # the sweep window has no slice at degree 0; lgv and toeplitz on a
-    # Laurent chamber too
+    # the sweep window has no slice at degree 0; every route on a Laurent
+    # chamber too
     for spec in (conifold_theta(2), ChamberSpec(3, (1, 1, 1), (3, 1, 5))):
-        for name in ("lgv", "toeplitz"):
+        for name in ENGINES:
             assert engine_series(name, spec, 0)[0] == TruncatedSeries.one(spec.L, 0), name
 
 
@@ -55,11 +61,13 @@ def test_degree_validation():
 def test_box_budget_values():
     assert box_budget(c3_chamber(), 7) == 7
     assert box_budget(conifold_theta(0), 7) == 7
-    # theta_1 weights include q0^-1, so the budget stretches to D(2n+3)/3
+    # theta_n's best excursion holds 2n+3 boxes for 3 units of degree, so the
+    # budget stretches to D(2n+3)/3 once D >= 3; below that it is not affordable
     assert box_budget(conifold_theta(1), 6) == 10
     assert box_budget(conifold_theta(2), 6) == 14
-    with pytest.raises(UnsupportedChamberError):
-        box_budget(ChamberSpec(2, (1, -1), (5, -1)), 4)
+    assert [box_budget(conifold_theta(1), d) for d in (1, 2)] == [0, 2]
+    laurent = ChamberSpec(3, (1, 1, 1), (3, 1, 5))
+    assert [box_budget(laurent, d) for d in range(7)] == [2 * d for d in range(7)]
 
 
 def test_conifold_enumeration_matches_product_small():
@@ -150,6 +158,9 @@ def test_widening_budget_and_window_changes_nothing():
         # theta_n kept configurations use the whole budget at degree 3
         (conifold_theta(2), 3),
         (conifold_theta(3), 3),
+        # Laurent chambers outside theta_n
+        (ChamberSpec(3, (1, 1, 1), (3, 1, 5)), 4),
+        (ChamberSpec(2, (1, -1), (5, -1)), 3),
     )
     for spec, d in cases:
         b = box_budget(spec, d)
@@ -239,21 +250,18 @@ def _one_period_thetas(L):
 
 
 def test_degree_prune_changes_nothing_on_other_laurent_chambers(monkeypatch):
-    # Laurent chambers outside theta_n have no proven box budget; at a fixed
-    # budget the prune must still keep every configuration the budget admits
     laurent = [
         spec
         for rho in ((1, 1, -1), (1, -1, 1), (1, 1, 1))
         for theta in _one_period_thetas(3)
         for spec in (ChamberSpec(3, rho, theta),)
-        if not all(w.is_genuine for w in chamber_weights(spec))
+        if not genuine_weights(chamber_weights(spec))
     ]
     specs = random.Random(7331).sample(laurent, 8)
-    budget = 16
-    pruned = [_enumerate(spec, 4, transposed=False, budget=budget) for spec in specs]
+    pruned = [enumerate_z(spec, 4) for spec in specs]
     _shift_degree_bound(monkeypatch, -math.inf)
     for spec, expected in zip(specs, pruned):
-        assert _enumerate(spec, 4, transposed=False, budget=budget) == expected, spec
+        assert enumerate_z(spec, 4) == expected, spec
 
 
 def test_single_peak_general_chambers_agree_across_routes():
@@ -328,7 +336,8 @@ def test_potential_table_prices_every_configuration_at_its_degree():
 
 
 def test_potential_prune_changes_nothing(monkeypatch):
-    # a zero table never fires, so the sweep runs on the box budget alone
+    # zero costs never fire, so stage 1 runs on the box budget alone; the
+    # budget and the window still come from the true table
     theta = [(conifold_theta(n), d) for n in range(7) for d in (3, 5)]
     identity = [(spec, 5) for spec in _potential_chambers()[8:]]
 
@@ -340,12 +349,12 @@ def test_potential_prune_changes_nothing(monkeypatch):
         (spec, d, ()) for spec, d in identity
     ]
     pruned = [routes(*case) for case in cases]
-    table = enumeration.potential_steps
+    graph = enumeration._partition_graph
 
-    def zero(spec, degree, window=None):
-        return [(t, rule, (0,) * spec.L) for t, rule, _ in table(spec, degree, window)]
+    def zero(rules, pot, *args):
+        return graph(rules, [0] * len(pot), *args)
 
-    monkeypatch.setattr(enumeration, "potential_steps", zero)
+    monkeypatch.setattr(enumeration, "_partition_graph", zero)
     for case, expected in zip(cases, pruned):
         assert routes(*case) == expected, case
 
@@ -388,6 +397,14 @@ def test_partition_graph_size_is_pinned(monkeypatch):
     assert edges == [282, 177, 119]
 
 
-def test_unsupported_laurent_chamber_raises():
-    with pytest.raises(UnsupportedChamberError):
-        enumerate_z(ChamberSpec(2, (1, -1), (5, -1)), 3)
+def test_laurent_chamber_outside_theta_n_enumerates():
+    spec = ChamberSpec(2, (1, -1), (5, -1))
+    assert enumerate_z(spec, 3) == chamber_product(spec, 3)
+
+
+def test_one_box_short_budget_is_caught(monkeypatch):
+    # the budget is attained here: a configuration of degree 3 holds all 2D boxes
+    true_budget = enumeration._box_budget
+    monkeypatch.setattr(enumeration, "_box_budget", lambda *args: true_budget(*args) - 1)
+    spec = ChamberSpec(3, (1, 1, 1), (3, 1, 5))
+    assert enumerate_z(spec, 3) != chamber_product(spec, 3)

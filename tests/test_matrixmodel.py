@@ -17,6 +17,7 @@ from crystalmelt import (
     chamber_symbol,
     conifold_theta,
     enumerate_z,
+    enumerate_z_transposed,
     macmahon,
     macmahon_two_var,
     product_over_k,
@@ -295,13 +296,15 @@ def scan_sample():
             yield spec, degree
 
 
-def test_toeplitz_equals_product_and_lgv_on_every_chamber():
+def test_every_route_equals_product_on_every_chamber():
     # multi-peak, Laurent and "minus"-lax chambers alike; the plateau comes
     # at the first pair of sizes tried
     for spec, degree in scan_sample():
         z, extras = engine_series("toeplitz", spec, degree)
         assert z == chamber_product(spec, degree), (spec, degree)
         assert z == engine_series("lgv", spec, degree)[0], (spec, degree)
+        assert z == enumerate_z(spec, degree), (spec, degree)
+        assert z == enumerate_z_transposed(spec, degree), (spec, degree)
         assert extras["stabilized_at"] == degree + 1, (spec, degree)
 
 
