@@ -14,6 +14,7 @@ consistent with the chamber product formulas.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,11 @@ def theta_inverse(spec, h2):
 
 def slice_rule(spec, i):
     """Interlacing rule for the step between slices i and i+1."""
-    pre = theta_inverse(spec, 2 * i + 1)
+    return _rule_at(spec, theta_inverse(spec, 2 * i + 1))
+
+
+def _rule_at(spec, pre):
+    """The slice rule of the step whose half-integer has preimage pre."""
     return SliceRule(
         relation="plus" if sigma(spec, pre) == 1 else "minus",
         direction="ascending" if pre < 0 else "descending",
@@ -168,7 +173,8 @@ def potential_steps(spec, degree, window=None):
       steps and shrink only on descending ones. A walker's path splits into
       such unit excursions, and each walker off its ground height holds one
       open, so a configuration of degree <= D has at most D rows in every
-      slice: D walkers suffice, each at most D above its ground;
+      slice (row_bound sharpens this) and each walker stays at most D above
+      its ground;
     - a configuration of degree <= D changes across no step priced above D.
       It is empty far away on both sides, so it is empty up to the first step
       priced within D and from the last one on: those steps and the ones
@@ -179,7 +185,16 @@ def potential_steps(spec, degree, window=None):
     -D - 1/2 <= x <= D - 1/2, and the table runs from the first to the last
     of them by default. window = (lo, hi) asks for the steps from lo - 1 to
     hi instead, around slices lo..hi.
+
+    Each table is built once per (spec, degree, window) and kept; every call
+    returns its own list of the kept steps.
     """
+    return list(_step_table(spec, degree, window))
+
+
+@lru_cache(maxsize=None)
+def _step_table(spec, degree, window):
+    """potential_steps as a tuple, memoized."""
     L = spec.L
     if window is None:
         # the steps t with t + 1/2 = theta(y), y doubled in -2D-1..2D-1
@@ -189,9 +204,42 @@ def potential_steps(spec, degree, window=None):
     def step(t):
         # with k = x + 1/2, e_t holds the q_j with min(k, 0) <= j < max(k, 0),
         # counted per residue r mod L
-        k = (theta_inverse(spec, 2 * t + 1) + 1) // 2
+        pre = theta_inverse(spec, 2 * t + 1)
+        k = (pre + 1) // 2
         lo, hi = min(k, 0), max(k, 0)
         e = tuple((hi - 1 - r) // L - (lo - 1 - r) // L for r in range(L))
-        return t, slice_rule(spec, t), e
+        return t, _rule_at(spec, pre), e
 
-    return [step(t) for t in range(window[0] - 1, window[1] + 1)]
+    return tuple(step(t) for t in range(window[0] - 1, window[1] + 1))
+
+
+def row_bound(table, degree):
+    """The most non-empty rows any slice of a configuration of degree <=
+    degree can hold, R = max_s floor(degree / c(s)), 0 when no c(s) is within
+    degree, over a potential step table (or a subsequence of one, in time
+    order).
+
+    Lemma. Slice s lies between steps s - 1 and s. Rows grow only on ascending
+    steps and shrink only on descending ones, so each of the r non-empty rows
+    at slice s holds a unit excursion across s: one unit of height raised at
+    an ascending step a < s and dropped at a descending step d >= s, which
+    costs deg e_a + deg e_d (potential_steps). With c(s) the least deg e_a
+    over ascending a < s plus the least deg e_d over descending d >= s, the
+    excursions are distinct units, so r c(s) <= degree. Every a < d pair
+    costs deg(e_a + e_d) >= 1, so c(s) >= 1 and R <= degree. Steps outside
+    the table are priced above the degree and carry no such unit.
+    """
+    never = float("inf")
+    rise = []  # rise[i]: the least deg e_a over the ascending steps before slice i
+    least = never
+    for _, rule, e in table:
+        rise.append(least)
+        if rule.direction == "ascending":
+            least = min(least, sum(e))
+    bound, drop = 0, never
+    for (_, rule, e), up in zip(reversed(table), reversed(rise)):
+        if rule.direction == "descending":
+            drop = min(drop, sum(e))
+        if up + drop <= degree:
+            bound = max(bound, degree // (up + drop))
+    return bound

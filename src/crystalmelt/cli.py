@@ -10,8 +10,8 @@ key order, and whitespace are fixed, so byte-identical output means
 byte-identical results.
 
 Exit codes: 0 success or agreement, 1 a check or cross-engine comparison
-failed, 2 invalid input, 3 an internal guard tripped (stabilization cap or
-oracle size).
+failed, 2 invalid input, 3 an internal guard tripped (the Toeplitz size
+certificate or oracle size).
 """
 
 import argparse

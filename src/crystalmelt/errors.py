@@ -1,7 +1,8 @@
 """Exceptions shared across the library.
 
-The CLI maps these onto exit codes: resource/limit guards (stabilization,
-oracle size, product termination) exit 3, everything else here exits 2.
+The CLI maps these onto exit codes: run-time guards (the Toeplitz size
+certificate, oracle size, product termination) exit 3, everything else here
+exits 2.
 """
 
 
@@ -27,7 +28,8 @@ class UnsupportedChamberError(CrystalMeltError):
 
 
 class StabilizationFailureError(CrystalMeltError):
-    """Toeplitz determinant kept changing up to the size cap."""
+    """A Toeplitz section has a non-unit pivot, or its determinant changes
+    from the requested size to the next one."""
 
 
 class OracleTooLargeError(CrystalMeltError):

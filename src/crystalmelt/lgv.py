@@ -17,15 +17,15 @@ non-intersecting sum.
 
 Step table and window. Every walker route reads chambers.potential_steps: a
 unit of height raised at ascending step t, or dropped at descending step t,
-costs x^{e_t}, and that table's lemma proves every e_t >= 0, that D walkers
-at heights up to walkers - 1 + D carry every configuration of degree <= D,
-and that its steps, from the first to the last priced within the cutoff,
-span every such configuration. A step priced above the cutoff has no rise or
-drop edge, only weight-1 straight edges (rails included), which carry every
-path straight across: the step maps each path onto itself and each
-vertex-disjoint family onto one. So no step outside the table changes a
-path sum, and every path-matrix entry stays identical, not just the
-determinant. walker_graph builds its edges from the table and
+costs x^{e_t}, and that table's lemmas prove every e_t >= 0, that R walkers
+(chambers.row_bound, R <= D) at heights up to walkers - 1 + D carry every
+configuration of degree <= D, and that its steps, from the first to the last
+priced within the cutoff, span every such configuration. A step priced above
+the cutoff has no rise or drop edge, only weight-1 straight edges (rails
+included), which carry every path straight across: the step maps each path
+onto itself and each vertex-disjoint family onto one. So no step outside the
+table changes a path sum, and every path-matrix entry stays identical, not
+just the determinant. walker_graph builds its edges from the table and
 profile_bijection_check reads its slice rules from it.
 
 Transfer lemma. walker_path_matrix reads the same table without building a
@@ -382,7 +382,8 @@ def walker_path_matrix(spec, walkers, degree):
                     if sum(e) <= reach:
                         key = tuple(map(add, e, exps))
                         into[key] = into.get(key, 0) + c
-        matrix.append([TruncatedSeries(spec.L, degree, vec[j]) for j in range(walkers)])
+        # trusted: each coefficient sums positive terms; every move is cut at reach <= degree
+        matrix.append([TruncatedSeries._trusted(spec.L, degree, vec[j]) for j in range(walkers)])
     return matrix
 
 

@@ -2,14 +2,20 @@
 
 The symbol f(z) collects single-walker transition weights; det G_{i-j} over
 an N x N block reproduces the unitary matrix integral, and for N large the
-determinant stops depending on N at any fixed series truncation. We detect
-that plateau by agreement of two consecutive sizes rather than guessing an
-a priori bound.
+determinant stops depending on N at any fixed series truncation. For a
+chamber symbol the size where it stops is proven, not searched for: the
+N x N determinant sums the configurations of the kept steps (split lemma
+below) with at most N rows, and chambers.row_bound over those steps, R_kept,
+bounds the rows of every configuration of degree <= D. So every N >= R_kept
+gives the same truncation, and the route takes the determinant at size
+R_kept. stabilized_toeplitz certifies the size it is given with one more
+pivot: sizes N and N + 1 agree exactly when u_{N+1} is 1 at the cutoff.
 
 Growing factorization: T_{N+1} borders T_N with one row and one column, so
 its Doolittle factors T_N = L_N U_N (L unit lower, U upper triangular) extend
 by one L row, one U column and one pivot u_{N+1}, and
-det T_{N+1} = det T_N * u_{N+1}. All sizes tried therefore share a single
+det T_{N+1} = det T_N * u_{N+1}. Every det T_N is a unit (below), so
+det T_{N+1} = det T_N exactly when u_{N+1} = 1. Both sizes share a single
 elimination. It needs no pivoting. Lemma: at q = 0 every symbol built here
 is 1 + z (all other factors reduce to 1), so G_0 = G_1 = 1 and G_m = 0
 otherwise mod q; T_N is then unit lower-bidiagonal mod q, every leading minor
@@ -73,8 +79,7 @@ class MatrixModelResult(NamedTuple):
     """Outcome of a stabilized determinant run.
 
     value is the determinant shared by sizes stabilized_at and
-    stabilized_at + 1; history maps each tried N to its determinant, kept for
-    diagnostics and for the widening checks in the test suite.
+    stabilized_at + 1; history maps those two sizes to their determinants.
     """
 
     value: TruncatedSeries
@@ -153,19 +158,16 @@ def _to_symbol(num_vars: int, cutoff: int, window: int, coeffs: dict) -> Laurent
 def _split_steps(spec, degree):
     """The potential step table cut at its last ascending step, as (kept,
     dropped): dropped holds the descending steps before that step, kept every
-    other step. Each step is (t, plus, ascending, e_t), with every relation
-    flipped when the degree-0 step a* is "minus"."""
+    other step. Both are step tables, with every relation flipped when the
+    degree-0 step a* is "minus"."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     steps = potential_steps(spec, degree)
-    flip = any(sum(e) == 0 and rule.relation == "minus" for _, rule, e in steps)
-    steps = [
-        (t, (rule.relation == "plus") != flip, rule.direction == "ascending", e)
-        for t, rule, e in steps
-    ]
-    last_up = max(t for t, _, up, _ in steps if up)
-    kept = [s for s in steps if s[2] or s[0] > last_up]
-    dropped = [s for s in steps if not s[2] and s[0] < last_up]
+    if any(sum(e) == 0 and rule.relation == "minus" for _, rule, e in steps):
+        steps = [(t, rule.flipped(), e) for t, rule, e in steps]
+    last_up = max(t for t, rule, _ in steps if rule.direction == "ascending")
+    kept = [s for s in steps if s[1].direction == "ascending" or s[0] > last_up]
+    dropped = [s for s in steps if s[1].direction == "descending" and s[0] < last_up]
     return kept, dropped
 
 
@@ -177,11 +179,11 @@ def chamber_symbol(spec, degree: int) -> LaurentSymbol:
     kept, _ = _split_steps(spec, degree)
     window = degree + 1
     f = {0: {(0,) * spec.L: 1}}
-    for _, plus, up, e in kept:
+    for _, rule, e in kept:
         if sum(e) == 0:
             continue
-        zpow = 1 if up else -1
-        if plus:
+        zpow = 1 if rule.direction == "ascending" else -1
+        if rule.relation == "plus":
             f = _times_linear(f, degree, window, zpow, e, 1)
         else:
             f = _divide_linear(f, degree, window, zpow, e)
@@ -196,13 +198,13 @@ def chamber_prefactor(spec, degree: int) -> TruncatedSeries:
     match and (1 + x^(e_a + e_d)) when they differ (module docstring)."""
     kept, dropped = _split_steps(spec, degree)
     powers = Counter()
-    for d, d_plus, _, d_e in dropped:
+    for d, d_rule, d_e in dropped:
         room = degree - sum(d_e)
-        for a, a_plus, up, a_e in kept:
+        for a, a_rule, a_e in kept:
             if a > d:
                 break
-            if up and sum(a_e) <= room:
-                powers[tuple(map(add, a_e, d_e)), a_plus == d_plus] += 1
+            if a_rule.direction == "ascending" and sum(a_e) <= room:
+                powers[tuple(map(add, a_e, d_e)), a_rule.relation == d_rule.relation] += 1
     out = TruncatedSeries.one(spec.L, degree)
     for (v, match), k in powers.items():
         if match:
@@ -252,29 +254,27 @@ def _toeplitz_pivots(f: LaurentSymbol, degree: int):
         yield n, pivot
 
 
-def stabilized_toeplitz(f: LaurentSymbol, degree: int) -> MatrixModelResult:
-    """Grow N from degree + 1 until two consecutive determinants agree modulo
-    total degree `degree`; a run that reaches N = 4 * (degree + 2) without a
-    plateau raises StabilizationFailureError.
-
-    One growing LU factorization supplies every size's determinant as the
-    running product of its pivots (see the module docstring)."""
+def stabilized_toeplitz(f: LaurentSymbol, degree: int, size: int) -> MatrixModelResult:
+    """The determinant of the size x size section of f modulo total degree
+    `degree`, certified by the next size: one growing LU factorization runs
+    to size + 1, and StabilizationFailureError is raised unless the pivot
+    u_{size+1} is 1 at the cutoff, that is, unless det T_{size+1} =
+    det T_size u_{size+1} equals det T_size (see the module docstring)."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    if size < 0:
+        raise ValueError("size must be >= 0")
     if f.cutoff < degree:
         raise ValueError("symbol truncated below the requested degree")
-    cap = 4 * (degree + 2)
-    history = {}
-    det = TruncatedSeries.one(f.num_vars, degree)
-    for size, pivot in _toeplitz_pivots(f, degree):
-        det = det * pivot
-        if size <= degree:
-            continue
-        history[size] = det
-        if size - 1 in history and det == history[size - 1]:
-            return MatrixModelResult(det, size - 1, history)
-        if size == cap:
+    one = TruncatedSeries.one(f.num_vars, degree)
+    det = one
+    for n, pivot in _toeplitz_pivots(f, degree):
+        if n > size:
             break
-    raise StabilizationFailureError(
-        f"Toeplitz determinant did not stabilize by N = {cap}"
-    )
+        det = det * pivot
+    if pivot != one:
+        raise StabilizationFailureError(
+            f"Toeplitz determinant changes from size {size} to {size + 1}: "
+            f"the pivot u_{size + 1} is not 1 to degree {degree}"
+        )
+    return MatrixModelResult(det, size, {size: det, size + 1: det})

@@ -14,7 +14,7 @@ import random
 from typing import NamedTuple
 
 from .chambers import c3_chamber, conifold_theta
-from .engines import engine_series
+from .engines import _walkers, engine_series
 from .enumeration import enumerate_z, enumerate_z_transposed
 from .lgv import (
     WeightedDag,
@@ -122,8 +122,8 @@ def _run_c3_toeplitz(Dmax, nmax, fault, rng, cache):
     stabilized_at = extras["stabilized_at"]
     lhs = _flip(value, 3, fault)
     bad = _series_mismatches(lhs, engine_series("product", c3_chamber(), d)[0])
-    if stabilized_at > 40:
-        bad.append({"stabilized_at": stabilized_at, "bound": 40})
+    if stabilized_at != d:
+        bad.append({"stabilized_at": stabilized_at, "expected": d})
     detail = (
         f"Toeplitz determinant of the single-walker symbol stabilizes at size "
         f"{stabilized_at} and equals the MacMahon series to degree {d}"
@@ -265,13 +265,15 @@ def _run_walker_graphs(Dmax, nmax, fault, rng, cache):
     bad = []
     d = min(5, Dmax)
     target = engine_series("product", c3_chamber(), d)[0]
-    for walkers in (max(d, 1), max(d, 1) + 1):
+    r = _walkers(c3_chamber(), d)
+    for walkers in (r, r + 1):
         tags = {"geometry": "c3", "walkers": walkers}
         det = _walker_det(c3_chamber(), walkers, d, bad, tags)
         bad += _series_mismatches(det, target, **tags)
     dc = min(4, Dmax)
     ctarget = _cached_conifold(cache, 0, Dmax).truncate(dc)
-    sizes = (max(dc, 1), max(dc, 1) + 1)
+    r = _walkers(conifold_theta(0), dc)
+    sizes = (r, r + 1)
     for walkers in sizes:
         tags = {"geometry": "conifold", "walkers": walkers}
         det = _walker_det(conifold_theta(0), walkers, dc, bad, tags)

@@ -9,12 +9,16 @@ from crystalmelt import (
     chamber_weight,
     chamber_weights,
     conifold_theta,
+    enumerate_z,
+    enumerate_z_rows,
     sigma,
     slice_rule,
     theta_inverse,
     theta_value,
 )
-from crystalmelt.chambers import conifold_index, potential_steps
+from crystalmelt import chambers
+from crystalmelt.chambers import conifold_index, potential_steps, row_bound
+from crystalmelt.engines import engine_series
 from oracles import genuine_weights, peak_slices, shifted_chamber_data
 
 
@@ -207,3 +211,36 @@ def test_potential_steps_equal_the_runs_from_chamber_weights():
                 spec,
                 degree,
             )
+
+
+def test_row_bound_values():
+    for d in range(13):
+        assert row_bound(potential_steps(c3_chamber(), d), d) == d
+        assert row_bound(potential_steps(conifold_theta(0), d), d) == d
+    assert row_bound(potential_steps(conifold_theta(1), 16), 16) == 8
+    for spec in scan_chambers():
+        assert row_bound(potential_steps(spec, 0), 0) == 0, spec
+
+
+def test_row_bound_holds_every_configuration():
+    # the sweep held to R rows per slice loses nothing; R = 0 at degree 0
+    rng = random.Random(1597)
+    specs = [c3_chamber()] + [conifold_theta(n) for n in range(5)]
+    specs += rng.sample(list(scan_chambers()), 40)
+    for spec in specs:
+        for d in (0, 3, 5):
+            bound = row_bound(potential_steps(spec, d), d)
+            assert enumerate_z_rows(spec, d, bound) == enumerate_z(spec, d), (spec, d)
+
+
+def test_one_step_table_per_engine_run():
+    for name in ("toeplitz", "lgv"):
+        chambers._step_table.cache_clear()
+        engine_series(name, conifold_theta(2), 6)
+        assert chambers._step_table.cache_info().misses == 1, name
+
+
+def test_potential_steps_hands_out_copies():
+    table = potential_steps(conifold_theta(1), 4)
+    table.clear()
+    assert potential_steps(conifold_theta(1), 4)

@@ -199,7 +199,7 @@ def test_disagreement_exits_1(monkeypatch, capsys):
 
 
 def test_internal_limit_exits_3(monkeypatch, capsys):
-    def boom(f, degree):
+    def boom(f, degree, size):
         raise StabilizationFailureError("forced for the exit-code contract")
 
     monkeypatch.setattr(engines_module, "stabilized_toeplitz", boom)

@@ -46,9 +46,10 @@ def test_degree_zero_is_one_everywhere():
     for spec in (c3_chamber(), conifold_theta(0), conifold_theta(2)):
         z = enumerate_z(spec, 0)
         assert z == TruncatedSeries.one(spec.L, 0)
-    # the sweep window has no slice at degree 0; every route on a Laurent
-    # chamber too
-    for spec in (conifold_theta(2), ChamberSpec(3, (1, 1, 1), (3, 1, 5))):
+    # the sweep window has no slice at degree 0 and the row bound is 0 (one
+    # walker, a Toeplitz section of size 0); every route, Laurent chambers too
+    laurent = ChamberSpec(3, (1, 1, 1), (3, 1, 5))
+    for spec in (c3_chamber(), conifold_theta(0), conifold_theta(2), laurent):
         for name in ENGINES:
             assert engine_series(name, spec, 0)[0] == TruncatedSeries.one(spec.L, 0), name
 

@@ -25,10 +25,11 @@ from crystalmelt import (
     walker_graph,
     walker_path_matrix,
 )
-from crystalmelt import WeightedDag, chamber_product, chamber_weights, enumeration, lgv
+from crystalmelt import WeightedDag, chamber_product, chamber_weights, engines, enumeration, lgv
 from crystalmelt.engines import engine_series
 from crystalmelt.lgv import _paths_between
 from oracles import genuine_weights, peak_slices, shifted_chamber_data
+from test_matrixmodel import scan_sample
 
 
 def w_monomial(i, cutoff=4):
@@ -554,3 +555,13 @@ def test_over_eager_transfer_sink_cut_is_caught(monkeypatch):
         return [[x + 1 for x in row] for row in least(steps, walkers, hmax)]
 
     assert transfer_differs(monkeypatch, "_least_by_step", eager)
+
+
+def test_one_row_short_walker_count_is_caught(monkeypatch):
+    # one walker fewer than the row bound drops configurations somewhere
+    real = engines.row_bound
+    monkeypatch.setattr(engines, "row_bound", lambda table, degree: real(table, degree) - 1)
+    assert any(
+        engine_series("lgv", spec, degree)[0] != chamber_product(spec, degree)
+        for spec, degree in scan_sample()
+    )

@@ -24,7 +24,8 @@ from crystalmelt import (
     stabilized_toeplitz,
     toeplitz_det,
 )
-from crystalmelt import matrixmodel
+from crystalmelt import engines, matrixmodel
+from crystalmelt.chambers import row_bound
 from crystalmelt.engines import engine_series
 from crystalmelt.matrixmodel import _divide_linear, _times_linear, _to_symbol
 from oracles import shifted_chamber_data
@@ -214,31 +215,36 @@ def test_step_pair_prefactor_equals_the_closed_form_cn():
             assert chamber_prefactor(conifold_theta(n), d) == closed_form_cn(n, d), (n, d)
 
 
+def kept_bound(spec, degree):
+    """R_kept: the row bound over the kept steps of the chamber's symbol."""
+    return row_bound(matrixmodel._split_steps(spec, degree)[0], degree)
+
+
 def test_stabilized_toeplitz_identity_symbol():
     ident = LaurentSymbol.identity(1, 4, 5)
-    res = stabilized_toeplitz(ident, 4)
+    res = stabilized_toeplitz(ident, 4, 3)
     assert res.value == TruncatedSeries.one(1, 4)
-    assert res.stabilized_at == 5  # first two sizes tried already agree
-    assert sorted(res.history) == [5, 6]
+    assert res.stabilized_at == 3
+    assert sorted(res.history) == [3, 4]
 
 
 def test_stabilized_toeplitz_c3():
     d = 5
-    res = stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d)
+    assert kept_bound(c3_chamber(), d) == d
+    res = stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d, d)
     assert res.value == macmahon(d)
-    assert res.stabilized_at <= 40
-    # the plateau is real: a larger matrix gives the same truncation
-    wider = toeplitz_det(chamber_symbol(c3_chamber(), d), res.stabilized_at + 2).truncate(d)
+    assert res.stabilized_at == d
+    # the size is proven: a larger matrix gives the same truncation
+    wider = toeplitz_det(chamber_symbol(c3_chamber(), d), d + 2).truncate(d)
     assert wider == res.value
 
 
 def test_stabilized_toeplitz_history_records_the_plateau():
+    # the history holds the given size and the next one, which certifies it
     d = 4
-    res = stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d)
-    sizes = sorted(res.history)
-    assert sizes[0] == d + 1
-    assert sizes == list(range(d + 1, res.stabilized_at + 2))
-    assert res.history[sizes[-1]] == res.history[sizes[-2]] == res.value
+    res = stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d, d)
+    assert sorted(res.history) == [d, d + 1]
+    assert res.history[d] == res.history[d + 1] == res.value
 
 
 def test_growing_factorization_matches_per_size_determinants():
@@ -246,42 +252,55 @@ def test_growing_factorization_matches_per_size_determinants():
         symbols = {"c3": chamber_symbol(c3_chamber(), d)}
         symbols.update({f"theta{n}": chamber_symbol(conifold_theta(n), d) for n in (0, 1, 2)})
         for name, f in symbols.items():
-            res = stabilized_toeplitz(f, d)
-            for size, det in res.history.items():
+            det = TruncatedSeries.one(f.num_vars, d)
+            for size, pivot in matrixmodel._toeplitz_pivots(f, d):
+                det = det * pivot
                 assert det == toeplitz_det(f, size).truncate(d), (name, d, size)
+                if size == d + 2:
+                    break
 
 
 def test_zero_leading_minor_is_rejected_with_its_size():
     one = TruncatedSeries.one(1, 3)
     # f = z: every section has a zero diagonal, singular from size 1 on
     with pytest.raises(StabilizationFailureError, match="size 1 "):
-        stabilized_toeplitz(LaurentSymbol(1, 3, 4, {1: one}), 3)
+        stabilized_toeplitz(LaurentSymbol(1, 3, 4, {1: one}), 3, 3)
     # f = 1/z + 1 + z: T_1 = [1], but T_2 = [[1, 1], [1, 1]] is singular
     with pytest.raises(StabilizationFailureError, match="size 2 "):
-        stabilized_toeplitz(LaurentSymbol(1, 3, 4, {-1: one, 0: one, 1: one}), 3)
+        stabilized_toeplitz(LaurentSymbol(1, 3, 4, {-1: one, 0: one, 1: one}), 3, 3)
 
 
 def test_stabilized_toeplitz_conifold_with_prefactor():
     d = 4
     for n in (0, 1):
-        res = stabilized_toeplitz(chamber_symbol(conifold_theta(n), d), d)
-        got = chamber_prefactor(conifold_theta(n), d) * res.value
-        assert got == enumerate_z(conifold_theta(n), d), n
+        spec = conifold_theta(n)
+        res = stabilized_toeplitz(chamber_symbol(spec, d), d, kept_bound(spec, d))
+        got = chamber_prefactor(spec, d) * res.value
+        assert got == enumerate_z(spec, d), n
 
 
 def test_stabilization_failure_is_detected():
-    # a constant-2 symbol has det 2^N, which never repeats
+    # a constant-2 symbol has det 2^N: its first pivot is not a unit
     two = TruncatedSeries(1, 2, {(0,): 2})
     f = LaurentSymbol(1, 2, 3, {0: two})
-    with pytest.raises(StabilizationFailureError):
-        stabilized_toeplitz(f, 2)
+    with pytest.raises(StabilizationFailureError, match="not a unit"):
+        stabilized_toeplitz(f, 2, 2)
+
+
+def test_one_size_short_fails_the_certificate():
+    # on c3 R_kept = D is attained, so the pivot after size D - 1 is not 1
+    for d in range(1, 9):
+        with pytest.raises(StabilizationFailureError, match=f"size {d - 1} to {d}"):
+            stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d, d - 1)
 
 
 def test_stabilized_toeplitz_validation():
     with pytest.raises(ValueError):
-        stabilized_toeplitz(chamber_symbol(c3_chamber(), 3), -1)
+        stabilized_toeplitz(chamber_symbol(c3_chamber(), 3), -1, 3)
     with pytest.raises(ValueError):
-        stabilized_toeplitz(chamber_symbol(c3_chamber(), 3), 4)
+        stabilized_toeplitz(chamber_symbol(c3_chamber(), 3), 4, 3)
+    with pytest.raises(ValueError):
+        stabilized_toeplitz(chamber_symbol(c3_chamber(), 3), 3, -1)
 
 
 def scan_sample():
@@ -297,15 +316,15 @@ def scan_sample():
 
 
 def test_every_route_equals_product_on_every_chamber():
-    # multi-peak, Laurent and "minus"-lax chambers alike; the plateau comes
-    # at the first pair of sizes tried
+    # multi-peak, Laurent and "minus"-lax chambers alike, each determinant
+    # taken at its proven size
     for spec, degree in scan_sample():
         z, extras = engine_series("toeplitz", spec, degree)
         assert z == chamber_product(spec, degree), (spec, degree)
         assert z == engine_series("lgv", spec, degree)[0], (spec, degree)
         assert z == enumerate_z(spec, degree), (spec, degree)
         assert z == enumerate_z_transposed(spec, degree), (spec, degree)
-        assert extras["stabilized_at"] == degree + 1, (spec, degree)
+        assert extras["stabilized_at"] == kept_bound(spec, degree), (spec, degree)
 
 
 def test_swapped_pair_rule_is_caught(monkeypatch):
@@ -319,3 +338,21 @@ def test_swapped_pair_rule_is_caught(monkeypatch):
     monkeypatch.setattr(matrixmodel, "binomial_factor", swapped)
     scan = [ChamberSpec(*data) for data in shifted_chamber_data(3, 2)]
     assert any(engine_series("toeplitz", spec, 5)[0] != chamber_product(spec, 5) for spec in scan)
+
+
+def test_one_row_short_toeplitz_size_is_caught(monkeypatch):
+    # one row fewer than R_kept fails the certificate somewhere, and it never
+    # gives a wrong series: the pivot it checks is det T_R / det T_{R-1}
+    real = engines.row_bound
+
+    def short(table, degree):
+        return max(real(table, degree) - 1, 0)
+
+    monkeypatch.setattr(engines, "row_bound", short)
+    failed = wrong = 0
+    for spec, degree in scan_sample():
+        try:
+            wrong += engine_series("toeplitz", spec, degree)[0] != chamber_product(spec, degree)
+        except StabilizationFailureError:
+            failed += 1
+    assert failed and not wrong, (failed, wrong)
