@@ -187,9 +187,9 @@ def potential_steps(spec, degree, window=None):
     hi instead, around slices lo..hi.
 
     Each table is built once per (spec, degree, window) and kept; every call
-    returns its own list of the kept steps.
+    returns that same tuple, which callers only read.
     """
-    return list(_step_table(spec, degree, window))
+    return _step_table(spec, degree, window)
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,8 @@ key order, and whitespace are fixed, so byte-identical output means
 byte-identical results.
 
 Exit codes: 0 success or agreement, 1 a check or cross-engine comparison
-failed, 2 invalid input, 3 an internal guard tripped (the Toeplitz size
-certificate or oracle size).
+failed, 2 invalid input (an --out path that cannot be written included), 3
+an internal guard tripped (the Toeplitz size certificate or oracle size).
 """
 
 import argparse
@@ -148,8 +148,11 @@ def _dump_json(payload) -> str:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -11,17 +11,14 @@ gives the same truncation, and the route takes the determinant at size
 R_kept. stabilized_toeplitz certifies the size it is given with one more
 pivot: sizes N and N + 1 agree exactly when u_{N+1} is 1 at the cutoff.
 
-Growing factorization: T_{N+1} borders T_N with one row and one column, so
-its Doolittle factors T_N = L_N U_N (L unit lower, U upper triangular) extend
-by one L row, one U column and one pivot u_{N+1}, and
-det T_{N+1} = det T_N * u_{N+1}. Every det T_N is a unit (below), so
-det T_{N+1} = det T_N exactly when u_{N+1} = 1. Both sizes share a single
-elimination. It needs no pivoting. Lemma: at q = 0 every symbol built here
-is 1 + z (all other factors reduce to 1), so G_0 = G_1 = 1 and G_m = 0
-otherwise mod q; T_N is then unit lower-bidiagonal mod q, every leading minor
-is 1 mod q, and each pivot u_N = minor_N / minor_{N-1} is a unit of the local
-ring. A symbol whose leading pivot is not a unit is
-rejected up front with StabilizationFailureError.
+Certificate: eliminating T_{N+1} without row swaps yields its pivots
+u_1..u_{N+1}, the first N of which multiply to det T_N, so
+det T_{N+1} = det T_N u_{N+1} equals det T_N, a unit (below), exactly when
+u_{N+1} = 1. Lemma: at q = 0 every symbol built here is 1 + z (all other
+factors reduce to 1), so T_N is unit lower-bidiagonal mod q, every leading
+minor is 1 mod q and every pivot u_N = minor_N / minor_{N-1} is a unit of
+the local ring: no swap is ever needed, and a symbol that needs one is
+rejected with StabilizationFailureError naming the size.
 
 Window bookkeeping: every factor except the single (1 + z) carries at least
 one unit of q-degree per unit of |z|-power, so z-exponents beyond D + 1 have
@@ -67,12 +64,13 @@ inverse is needed.
 from __future__ import annotations
 
 from collections import Counter
+from math import prod
 from operator import add
 from typing import NamedTuple
 
 from .chambers import potential_steps
 from .errors import StabilizationFailureError
-from .series import LaurentSymbol, TruncatedSeries, binomial_factor
+from .series import LaurentSymbol, TruncatedSeries, _unit_pivots, binomial_factor
 
 
 class MatrixModelResult(NamedTuple):
@@ -214,65 +212,35 @@ def chamber_prefactor(spec, degree: int) -> TruncatedSeries:
     return out
 
 
-def _toeplitz_pivots(f: LaurentSymbol, degree: int):
-    """Yield (N, u_N) for N = 1, 2, ...: the Doolittle pivots of the growing
-    sections T_N = [G_{i-j}] of f, computed modulo total degree > degree.
-
-    lower[i] holds row i of L below the diagonal and upper[j] column j of U
-    above it; a non-unit pivot raises StabilizationFailureError.
-    """
-    zero = TruncatedSeries.zero(f.num_vars, degree)
-    g = {m: c.truncate(degree) for m, c in f.coeffs.items()}
-
-    def residual(start, xs, ys):
-        """start - sum(x * y), skipping zero factors."""
-        acc = start
-        for x, y in zip(xs, ys):
-            if not x.is_zero() and not y.is_zero():
-                acc = acc - x * y
-        return acc
-
-    lower, upper, inverses = [], [], []
-    n = 0
-    while True:
-        col = []
-        for i in range(n):
-            col.append(residual(g.get(i - n, zero), lower[i], col))
-        row = []
-        for j in range(n):
-            row.append(residual(g.get(n - j, zero), row, upper[j]) * inverses[j])
-        pivot = residual(g.get(0, zero), row, col)
-        n += 1
-        if pivot.constant_term() not in (1, -1):
-            raise StabilizationFailureError(
-                f"Toeplitz section of size {n} has a pivot with constant term "
-                f"{pivot.constant_term()}, not a unit"
-            )
-        lower.append(row)
-        upper.append(col)
-        inverses.append(pivot.invert())
-        yield n, pivot
-
-
 def stabilized_toeplitz(f: LaurentSymbol, degree: int, size: int) -> MatrixModelResult:
     """The determinant of the size x size section of f modulo total degree
-    `degree`, certified by the next size: one growing LU factorization runs
-    to size + 1, and StabilizationFailureError is raised unless the pivot
-    u_{size+1} is 1 at the cutoff, that is, unless det T_{size+1} =
-    det T_size u_{size+1} equals det T_size (see the module docstring)."""
+    `degree`, certified by the next size: one unit-pivot elimination of
+    T_{size+1} (series._unit_pivots) yields the pivots u_1..u_{size+1}, and
+    StabilizationFailureError is raised unless every column takes its own row
+    (the q = 0 lemma) and u_{size+1} is 1 at the cutoff, that is, unless
+    det T_{size+1} = det T_size u_{size+1} equals det T_size (see the module
+    docstring)."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if size < 0:
         raise ValueError("size must be >= 0")
     if f.cutoff < degree:
         raise ValueError("symbol truncated below the requested degree")
-    one = TruncatedSeries.one(f.num_vars, degree)
-    det = one
-    for n, pivot in _toeplitz_pivots(f, degree):
-        if n > size:
+    zero = TruncatedSeries.zero(f.num_vars, degree)
+    g = {m: c.truncate(degree) for m, c in f.coeffs.items()}
+    rows = [[g.get(i - j, zero) for j in range(size + 1)] for i in range(size + 1)]
+    pivots = []
+    for p, pivot in _unit_pivots(rows):
+        if p != len(pivots):
             break
-        det = det * pivot
-    if pivot != one:
+        pivots.append(pivot)
+    if len(pivots) <= size:
+        raise StabilizationFailureError(
+            f"Toeplitz section of size {len(pivots) + 1} has a pivot that is not a unit"
+        )
+    one = TruncatedSeries.one(f.num_vars, degree)
+    det = prod(pivots[:size], start=one)
+    if pivots[size] != one:
         raise StabilizationFailureError(
             f"Toeplitz determinant changes from size {size} to {size + 1}: "
             f"the pivot u_{size + 1} is not 1 to degree {degree}"

@@ -7,7 +7,9 @@ is local: a series is a unit exactly when its constant term is +-1, and then
 its inverse is exact (TruncatedSeries.invert). Gaussian elimination that only
 ever pivots on such units is therefore exact and costs O(N^3) multiplies; the
 determinant routine below does that and leaves only a block without any unit
-pivot to the division-free Berkowitz recursion.
+pivot to the division-free Berkowitz recursion. The same elimination
+(_unit_pivots) serves det_division_free and the Toeplitz size certificate
+(matrixmodel.stabilized_toeplitz).
 
 Clean-terms invariant: a series stores only exponent tuples of length
 num_vars with non-negative entries and total degree <= cutoff, each with a
@@ -374,17 +376,33 @@ def det_division_free(matrix) -> TruncatedSeries:
             raise ValueError("matrix must be square")
     rows = [list(row) for row in matrix]
     det = rows[0][0].one_like()
+    c = 0
+    for p, pivot in _unit_pivots(rows):
+        det = det * pivot if p == c else -det * pivot
+        c += 1
+    if c < n:
+        return det * _berkowitz([row[c:] for row in rows[c:]])
+    return det
+
+
+def _unit_pivots(rows):
+    """Unit-pivot Gaussian elimination of the square matrix rows, in place.
+
+    For each column c, the first row p >= c whose column-c entry has constant
+    term +-1 is swapped into row c, column c is cleared below it (only
+    columns c + 1 on are rewritten; the stale column-c entries are never read
+    again), and (p, pivot) is yielded. At the first column without such a row
+    the elimination stops, leaving the Schur complement in rows[c:], columns
+    c on.
+    """
+    n = len(rows)
     for c in range(n):
         p = next((r for r in range(c, n) if rows[r][c].constant_term() in (1, -1)), None)
         if p is None:
-            rest = [row[c:] for row in rows[c:]]
-            return det * _berkowitz(rest)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = -det
+            return
+        rows[c], rows[p] = rows[p], rows[c]
         pivot_row = rows[c]
         pivot = pivot_row[c]
-        det = det * pivot
         neg_inv = -pivot.invert()
         for row in rows[c + 1 :]:
             if row[c].is_zero():
@@ -393,7 +411,7 @@ def det_division_free(matrix) -> TruncatedSeries:
             for j in range(c + 1, n):
                 if not pivot_row[j].is_zero():
                     row[j] = row[j] + factor * pivot_row[j]
-    return det
+        yield p, pivot
 
 
 def _berkowitz(matrix) -> TruncatedSeries:

@@ -207,7 +207,7 @@ def table_by_definition(spec, degree):
 def test_potential_steps_equal_the_runs_from_chamber_weights():
     for spec in scan_chambers():
         for degree in (0, 2, 5):
-            assert potential_steps(spec, degree) == table_by_definition(spec, degree), (
+            assert list(potential_steps(spec, degree)) == table_by_definition(spec, degree), (
                 spec,
                 degree,
             )
@@ -240,7 +240,6 @@ def test_one_step_table_per_engine_run():
         assert chambers._step_table.cache_info().misses == 1, name
 
 
-def test_potential_steps_hands_out_copies():
-    table = potential_steps(conifold_theta(1), 4)
-    table.clear()
-    assert potential_steps(conifold_theta(1), 4)
+def test_potential_steps_hands_out_a_tuple():
+    # the memoized table is shared, so it must be immutable
+    assert isinstance(potential_steps(conifold_theta(1), 4), tuple)

@@ -86,6 +86,18 @@ def test_output_to_file(tmp_path, capsys):
     assert report["agreement"] is True
 
 
+@pytest.mark.parametrize(
+    "command", [("product", "--degree", "3"), ("verify", "--degree", "2", "--chamber", "0")]
+)
+def test_unwritable_out_exits_2_with_error_json(tmp_path, capsys, command):
+    # a missing directory and a directory target, after the report is computed
+    for target in (tmp_path / "missing" / "report.json", tmp_path):
+        code, out, err = run_cli(capsys, *command, "--out", str(target))
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and str(target) in error["message"]
+
+
 def test_byte_stable_output(capsys):
     args = ("lgv", "--geometry", "conifold", "--chamber", "0", "--degree", "4",
             "--engines", "all")

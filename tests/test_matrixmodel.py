@@ -24,7 +24,7 @@ from crystalmelt import (
     stabilized_toeplitz,
     toeplitz_det,
 )
-from crystalmelt import engines, matrixmodel
+from crystalmelt import engines, matrixmodel, series
 from crystalmelt.chambers import row_bound
 from crystalmelt.engines import engine_series
 from crystalmelt.matrixmodel import _divide_linear, _times_linear, _to_symbol
@@ -247,17 +247,25 @@ def test_stabilized_toeplitz_history_records_the_plateau():
     assert res.history[d] == res.history[d + 1] == res.value
 
 
-def test_growing_factorization_matches_per_size_determinants():
+def test_unit_pivots_match_per_size_determinants():
+    # one elimination of T_{d+3} without a swap: its first k pivots multiply
+    # to det T_k for every k (the q = 0 lemma), on c3, theta_0..theta_3 and a
+    # Laurent chamber outside theta_n
     for d in (6, 8):
         symbols = {"c3": chamber_symbol(c3_chamber(), d)}
-        symbols.update({f"theta{n}": chamber_symbol(conifold_theta(n), d) for n in (0, 1, 2)})
+        symbols.update({f"theta{n}": chamber_symbol(conifold_theta(n), d) for n in range(4)})
+        symbols["L3"] = chamber_symbol(ChamberSpec(3, (1, 1, 1), (3, 1, 5)), d)
         for name, f in symbols.items():
+            n = d + 3
+            rows = [[f.coefficient(i - j).truncate(d) for j in range(n)] for i in range(n)]
             det = TruncatedSeries.one(f.num_vars, d)
-            for size, pivot in matrixmodel._toeplitz_pivots(f, d):
+            taken = 0
+            for p, pivot in series._unit_pivots(rows):
+                assert p == taken, (name, d, taken)
+                taken += 1
                 det = det * pivot
-                assert det == toeplitz_det(f, size).truncate(d), (name, d, size)
-                if size == d + 2:
-                    break
+                assert det == toeplitz_det(f, taken).truncate(d), (name, d, taken)
+            assert taken == n, (name, d)
 
 
 def test_zero_leading_minor_is_rejected_with_its_size():
@@ -280,10 +288,10 @@ def test_stabilized_toeplitz_conifold_with_prefactor():
 
 
 def test_stabilization_failure_is_detected():
-    # a constant-2 symbol has det 2^N: its first pivot is not a unit
+    # a constant-2 symbol has det 2^N: column 0 holds no unit at all
     two = TruncatedSeries(1, 2, {(0,): 2})
     f = LaurentSymbol(1, 2, 3, {0: two})
-    with pytest.raises(StabilizationFailureError, match="not a unit"):
+    with pytest.raises(StabilizationFailureError, match="size 1 .*not a unit"):
         stabilized_toeplitz(f, 2, 2)
 
 
