@@ -7,8 +7,8 @@ the command line. The command line runs every engine through here, and
 verify_all takes the product and Toeplitz values it checks from here.
 
 - enumerate: the slice sweep over the window of the potential step table
-  (chambers.potential_steps), under a box budget read off the same table,
-  for every chamber.
+  (chambers.potential_steps), pruned by the least potential still to pay
+  read off the same table, for every chamber.
 - product: the root-data product of products.chamber_product, for every
   chamber.
 - toeplitz: the Toeplitz determinant of the chamber's walker symbol times

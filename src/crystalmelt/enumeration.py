@@ -3,59 +3,10 @@
 A configuration is a bi-infinite partition sequence, empty at both ends,
 obeying the chamber's interlacing rule at every step. The sweep walks the
 finite window that can carry boxes in three stages. It first walks the
-partitions alone under the box budget and the degree and records the kept
-steps between them; then it bounds, per partition, the degree still to come;
-last it runs a frontier of states (current partition, boxes spent per slice
-class, total boxes, degree so far) with multiplicity counts over the recorded
-steps only.
-
-Budget: the first stage caps the boxes of a configuration of degree <= D by
-a bound read off the potential step table (chambers.potential_steps, see
-"Potential" below). Split the profile of slice sizes |lam_t| into unit
-excursions: sizes grow only on ascending steps and shrink only on descending
-ones, so each level set {t : |lam_t| >= k} is a union of intervals, each
-opened by a rise at an ascending step a and closed by a drop at a descending
-step d > a. Such an excursion holds d - a boxes, one in each of the slices
-a+1..d, and costs e_a + e_d = Pi(d) - Pi(a), of degree >= 1 by the table's
-lemma; every unit rise and drop belongs to exactly one excursion, so the
-excursions' costs sum to the configuration's degree. Each of them then costs
-at most D, so with R the largest (d - a) / deg(e_a + e_d) over the pairs
-a < d with deg(e_a + e_d) <= D, the boxes number at most R D: at most the
-largest floor(D (d - a) / deg(e_a + e_d)) over those pairs, and 0 when there
-is none. The bound holds on every chamber. Both costs are >= 0, so both
-steps of such a pair are priced within D and lie in the table's default
-window: a wider window adds no pair and leaves the budget as it is.
-
-Lookahead: every step has a componentwise-least successor of mu. Ascending,
-both relations only add boxes, so it is mu itself; descending "+" drops one box
-from every row (mu_i - 1); descending "-" reads mu_1 >= nu_1 >= mu_2 >= ..., so
-it is mu shifted up (mu_2, mu_3, ...). Every valid successor contains the least
-one, and the least-successor map is monotone under containment. By induction,
-if nu_t contains g_t then nu_{t+1} contains least(nu_t), which contains
-least(g_t) = g_{t+1}: every continuation of a state dominates the greedy chain
-g of least successors slice by slice. So it places at least the chain's boxes,
-and it can close on the empty partition only if the chain does (the step out of
-the window accepts () exactly when its least successor is ()). The chain is
-itself a valid continuation and never adds rows, so the bound is attained, also
-under max_rows: the sweep drops a state exactly when no configuration through
-it fits the budget, and the result is the same as without the lookahead. On an
-ascending step every successor contains mu, so mu's own bound also caps the
-size of the successors generated.
-
-Degree lookahead: a configuration's monomial has total degree
-sum_t W_t |lam_t|, where W_t is the total degree of the weight of slice t's
-class, and it is kept only when that sum is at most D. The first stage keeps
-each step mu -> nu whose least-future room admits the least boxes spent over
-all recorded histories of mu and that passes the potential test below. No
-single history spends fewer, so every step the last stage can take under the
-same room is recorded. One backward min-plus pass over the recorded steps
-gives least_degree(t, nu): the least
-sum_{t' > t} W_t' |lam_t'| over recorded paths from nu to a closing partition,
-infinite if none. A minimum over a superset of the real continuations is a
-lower bound on the degree any continuation still adds. So a state whose degree
-so far plus W_t |nu| plus least_degree(t, nu) exceeds D has no completion of
-degree <= D, and dropping it removes only configurations that the final degree
-filter would drop anyway: the result is the same as without the bound.
+partitions alone under the degree and records the kept steps between them;
+then it bounds, per partition, the degree still to come; last it runs a
+frontier of states (current partition, boxes spent per slice class, degree
+so far) with multiplicity counts over the recorded steps only.
 
 Potential: the sweep reads its rules, its window and its step costs from
 the potential step table (chambers.potential_steps), and step t costs e_t,
@@ -65,24 +16,59 @@ the potential it pays step by step,
 
     sum_t W_t |lam_t| = sum_t e_t ||lam_{t+1}| - |lam_t||,
 
-and that every configuration of degree <= D lies within the table's steps,
-which are therefore the sweep's window. After step t the |nu| boxes it
-leaves must still be dropped: the drops after t exceed the rises by exactly
-|nu|, each drop costs at least m_{>t}, the least e over the descending steps
-after t, and a rise costs >= 0. Every configuration through the step
-mu -> nu at t therefore has degree at least
-paid(mu) + e_t ||nu| - |mu|| + m_{>t} |nu|, for any paid(mu) at most the
-potential its history paid up to mu. The first stage carries, next to the
-least boxes, the least potential paid over the recorded histories of each
-partition and drops the step when that sum exceeds D. By induction over t,
-every step of a configuration of degree <= D is recorded: its history's steps
-are, so the least paid(mu) is at most what that history paid, and the test
-passes on its degree. Hence the graph records every step of every
-configuration of degree <= D, and the second stage's least degree over it is
-still a lower bound on the degree such a configuration adds. On an ascending
-step the test reads (e_t + m_{>t}) |nu| <= D - paid(mu) + e_t |mu|, which caps
-the successors generated. The box budget sets no window; it only caps the
-boxes of the first stage.
+where W_t is the total degree of the weight of slice t's class, and that
+every configuration of degree <= D lies within the table's steps, which are
+therefore the sweep's window. The first stage carries the least potential
+paid(mu) over the recorded histories of each partition, and records the step
+mu -> nu at t when paid(mu) + e_t ||nu| - |mu|| + ahead(t, nu) <= D, with
+ahead the lower bound below on the potential every continuation of nu still
+pays. By induction over t every step of a configuration of degree <= D is
+recorded: its history's steps are, so paid(mu) is at most what that history
+paid, and the test passes on its degree. A step is dropped only when no
+configuration through it has degree <= D, so the result is the same as
+without the test.
+
+Lookahead: every step has a componentwise-least successor of mu. Ascending,
+both relations only add boxes, so it is mu itself; descending "+" drops one box
+from every row (mu_i - 1); descending "-" reads mu_1 >= nu_1 >= mu_2 >= ..., so
+it is mu shifted up (mu_2, mu_3, ...). Every valid successor contains the least
+one, and the least-successor map is monotone under containment. By induction,
+if nu_t contains g_t then nu_{t+1} contains least(nu_t), which contains
+least(g_t) = g_{t+1}: every continuation of nu dominates the greedy chain g of
+least successors slice by slice, and it can close on the empty partition only
+if the chain does (the step out of the window accepts () exactly when its
+least successor is ()). Let the chain drop k_j boxes at each descending step
+j > t, and let c(j) be the least e over the descending steps from j on. Then
+
+    ahead(t, nu) = sum_j k_j c(j),
+
+infinite when the chain does not close, is at most the potential any
+continuation lam of nu still pays: for each j it holds |lam_{j-1}| >=
+|g_{j-1}| boxes before step j and drops them all at j or later, and its rises
+cost >= 0 and only add later drops. So at least as many of its drops fall at
+j or later as the chain makes from j on; by Hall's theorem each box the chain
+drops at j matches a distinct drop of lam at a step from j on, which costs at
+least c(j). The chain drops |nu| boxes, so ahead(t, nu) >= m |nu| with
+m = c(t + 1); c grows with j, so by summation by parts ahead is monotone in
+the chain's slice sizes and hence under containment. When the costs rise
+along the steps (on c3) c(j) = e_j and the chain, itself a valid
+continuation, attains the bound. On an ascending step every successor
+contains mu, so the sweep skips mu when paid(mu) + ahead(t, mu) > D, and
+m |nu| caps the successors generated: (e_t + m) |nu| <= D - paid(mu) +
+e_t |mu|, where e_t + m >= 1 by the table's lemma. With no descending step
+after t nothing but the empty partition closes, and nothing grows.
+
+Degree lookahead: a configuration's monomial has total degree
+sum_t W_t |lam_t|, and it is kept only when that sum is at most D. One
+backward min-plus pass over the recorded steps gives least_degree(t, nu): the
+least sum_{t' > t} W_t' |lam_t'| over recorded paths from nu to a closing
+partition, infinite if none. The graph records every step of every
+configuration of degree <= D, so a minimum over a superset of the real
+continuations is a lower bound on the degree any continuation still adds. So
+a state whose degree so far plus W_t |nu| plus least_degree(t, nu) exceeds D
+has no completion of degree <= D, and dropping it removes only configurations
+that the final degree filter would drop anyway: the result is the same as
+without the bound.
 """
 
 from functools import lru_cache
@@ -114,7 +100,7 @@ def _succ_grow_plus(mu, cap):
     """All lam >=+ mu with |lam| <= cap: in each block of equal parts, the first
     k rows gain one box, for every k from 0 to the block's length, and any
     number of 1-rows may follow. Blocks are chosen one after the other in
-    lexicographic order, keeping only the choices that fit the budget."""
+    lexicographic order, keeping only the choices that fit the cap."""
     room = cap - sum(mu)
     heads = [((), 0)]  # (rows so far, boxes gained so far)
     for v, run in groupby(mu):
@@ -130,10 +116,10 @@ def _succ_grow_minus(mu, cap):
     """All lam >=- mu with |lam| <= cap.
 
     The chain lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... bounds lam_1 below by mu_1
-    and above only by the budget, puts each later lam_(i+1) in [mu_(i+1), mu_i],
+    and above only by the cap, puts each later lam_(i+1) in [mu_(i+1), mu_i],
     and allows one extra final part in [0, mu_n]; a final 0 is dropped. The
     parts are chosen range by range in lexicographic order, each capped so
-    that the least parts still to come fit the budget.
+    that the least parts still to come fit the cap.
     """
     rest = sum(mu)  # boxes the parts still to come need at least
     heads = [((), 0)]  # (parts so far, their boxes)
@@ -171,20 +157,21 @@ def _least_step(rule):
     return _DROP if rule.relation == "plus" else _SHIFT
 
 
-def least_future(steps, i, lam, memo):
-    """Fewest boxes that any valid continuation of lam must still place.
+def _least_ahead(steps, i, lam, memo):
+    """Least potential that any valid continuation of lam must still pay.
 
-    lam sits at position i; steps[j] codes the least-successor map of the step
-    out of position j, and the step out of the last position must land on the
-    empty partition. The result sums the sizes along the greedy chain of least
-    successors after position i, or is infinite when that chain does not
-    close, in which case no continuation does. memo maps (position, partition)
-    to results and lives for one sweep; the chain is walked iteratively, so its
-    length is not limited by the recursion depth.
+    lam sits at position i; steps[j] = (code, cost) holds the code of the
+    least-successor map of the step out of position j and, for a descending
+    step, c of that step: the least cost over the descending steps from it on.
+    The step out of the last position must land on the empty partition. The
+    result charges each box the greedy chain of least successors drops after
+    position i at c of its step, or is infinite when that chain does not
+    close, in which case no continuation does (module docstring). memo maps
+    (position, partition) to results and lives for one sweep; the chain is
+    walked iteratively, so its length is not limited by the recursion depth.
     """
     last = len(steps) - 1
     chain = []
-    size = sum(lam)
     while True:
         if not lam:
             total = 0
@@ -192,22 +179,20 @@ def least_future(steps, i, lam, memo):
         total = memo.get((i, lam))
         if total is not None:
             break
-        step = steps[i]
+        step, cost = steps[i]
         if step == _KEEP:
-            nxt, nxt_size = lam, size
+            nxt, paid = lam, 0
         elif step == _DROP:
-            nxt = tuple(x - 1 for x in lam if x > 1)
-            nxt_size = size - len(lam)
+            nxt, paid = tuple(x - 1 for x in lam if x > 1), cost * len(lam)
         else:
-            nxt, nxt_size = lam[1:], size - lam[0]
+            nxt, paid = lam[1:], cost * lam[0]
+        chain.append((i, lam, paid))
         if i == last:
             total = 0 if not nxt else _NEVER
-            memo[(i, lam)] = total
             break
-        chain.append((i, lam, nxt_size))
-        i, lam, size = i + 1, nxt, nxt_size
-    for j, mu, placed in reversed(chain):
-        total += placed
+        i, lam = i + 1, nxt
+    for j, mu, paid in reversed(chain):
+        total += paid
         memo[(j, mu)] = total
     return total
 
@@ -222,7 +207,7 @@ def _least_degree(graph, weights, ends):
     """least[i][nu]: the least sum of weights[t] * |lam_t| over t > i along the
     recorded paths from nu at position i to a closing partition (infinite if
     none). graph[i] maps each partition at position i - 1 to its recorded edges
-    (nu, boxes, room) into position i; ends holds the bounds of the last
+    (nu, boxes) into position i; ends holds the bounds of the last
     position. One backward min-plus pass (module docstring).
     """
     least = [None] * len(graph)
@@ -230,145 +215,111 @@ def _least_degree(graph, weights, ends):
     for i in range(len(graph) - 1, 0, -1):
         w, after = weights[i], least[i]
         least[i - 1] = {
-            mu: min((w * boxes + after[nu] for nu, boxes, _ in edges), default=_NEVER)
+            mu: min((w * boxes + after[nu] for nu, boxes in edges), default=_NEVER)
             for mu, edges in graph[i].items()
         }
     return least
 
 
-def _box_budget(rules, pot, degree):
-    """Most boxes a configuration of degree <= degree can hold: the best boxes
-    per unit of degree over the rise-drop pairs priced within degree (module
-    docstring); rules[j] is step j's slice rule and pot[j] its cost."""
-    steps = list(enumerate(zip(rules, pot)))
-    rises = [(i, e) for i, (rule, e) in steps if rule.direction == "ascending"]
-    return max(
-        (
-            degree * (j - i) // (e + f)
-            for j, (rule, e) in steps
-            if rule.direction == "descending"
-            for i, f in rises
-            if i < j and e + f <= degree
-        ),
-        default=0,
-    )
-
-
-def _least_drop_ahead(rules, pot):
-    """after[j]: the least pot over the descending steps after step j, 0 if
-    there is none; rules[j] is step j's slice rule and pot[j] its cost."""
-    after = []
-    least = _NEVER
+def _cheapest_drops(rules, pot):
+    """c[j]: the least pot over the descending steps from step j on, and
+    infinite past the last of them, with one entry more than rules for the
+    end; rules[j] is step j's slice rule and pot[j] its cost."""
+    c = [_NEVER]
     for e, rule in zip(reversed(pot), reversed(rules)):
-        after.append(0 if least == _NEVER else least)
-        if rule.direction == "descending":
-            least = min(least, e)
-    after.reverse()
-    return after
+        c.append(min(c[-1], e) if rule.direction == "descending" else c[-1])
+    c.reverse()
+    return c
 
 
-def _partition_graph(rules, pot, degree, budget, max_rows):
-    """Stage 1: the partition graph under the box budget and the degree,
-    carrying per partition only the least boxes spent and the least potential
-    paid over its recorded histories (module docstring). rules[i] is the step
-    into slice i of the window and pot[i] its potential cost. Returns
-    (graph, spent): graph[i] maps each partition at slice i - 1 to its
-    recorded edges (nu, boxes, room) into slice i, and spent maps the
-    partitions of the last slice to their least boxes."""
+def _partition_graph(rules, pot, degree, max_rows):
+    """Stage 1: the partition graph under the degree, carrying per partition
+    only the least potential paid over its recorded histories (module
+    docstring). rules[i] is the step into slice i of the window and pot[i]
+    its potential cost. Returns (graph, paid): graph[i] maps each partition
+    at slice i - 1 to its recorded edges (nu, boxes) into slice i, and paid
+    maps the partitions of the last slice to their least potential paid."""
+    c = _cheapest_drops(rules, pot)
     # steps[j] leaves slice j; the last one is the step out of the window
-    steps = [_least_step(rule) for rule in rules[1:]]
-    after = _least_drop_ahead(rules, pot)
+    steps = [(_least_step(rule), cost) for rule, cost in zip(rules[1:], c[1:])]
     memo = {}
     graph = []
-    spent = {(): 0}
     paid = {(): 0}
     for i, rule in enumerate(rules[:-1]):
-        ascending = rule.direction == "ascending"
         plus = rule.relation == "plus"
-        e, m = pot[i], after[i]
+        e, m = pot[i], c[i + 1]
         edges_of = {}
-        new, new_paid = {}, {}
-        rooms = {}  # successor -> (its boxes, most boxes its predecessors may have spent)
-        for mu, least_spent in spent.items():
-            least_paid = paid[mu]
+        new = {}
+        looked = {}  # successor -> (its boxes, the least potential it still pays)
+        for mu, least_paid in paid.items():
             size = sum(mu)
             edges = edges_of[mu] = []
-            if ascending:
-                # every successor contains mu, so its future is at least mu's
-                cap = budget - least_spent - least_future(steps, i, mu, memo)
-                if e + m:
-                    cap = min(cap, (degree - least_paid + e * size) // (e + m))
-                if cap < 0:
+            if rule.direction == "ascending":
+                # every successor contains mu, so it pays at least mu's lookahead
+                if least_paid + _least_ahead(steps, i, mu, memo) > degree:
                     continue
+                # (e + m) |nu| <= degree - paid + e |mu|; with no drop ahead, nothing grows
+                cap = (degree - least_paid + e * size) // (e + m) if m < _NEVER else 0
                 succs = _succ_grow_plus(mu, cap) if plus else _succ_grow_minus(mu, cap)
             else:
                 succs = _succ_shrink_plus(mu) if plus else _succ_shrink_minus(mu)
             for nu in succs:
                 if max_rows is not None and len(nu) > max_rows:
                     continue
-                sized = rooms.get(nu)
+                sized = looked.get(nu)
                 if sized is None:
-                    boxes = sum(nu)
-                    sized = rooms[nu] = (boxes, budget - boxes - least_future(steps, i, nu, memo))
-                boxes, room = sized
-                if least_spent > room:
+                    sized = looked[nu] = (sum(nu), _least_ahead(steps, i, nu, memo))
+                boxes, ahead = sized
+                reached = least_paid + e * abs(boxes - size)
+                if reached + ahead > degree:
                     continue
-                reached_paid = least_paid + e * abs(boxes - size)
-                if reached_paid + m * boxes > degree:
-                    continue
-                edges.append((nu, boxes, room))
-                reached = least_spent + boxes
+                edges.append((nu, boxes))
                 if new.get(nu, _NEVER) > reached:
                     new[nu] = reached
-                if new_paid.get(nu, _NEVER) > reached_paid:
-                    new_paid[nu] = reached_paid
         graph.append(edges_of)
-        spent, paid = new, new_paid
-    return graph, spent
+        paid = new
+    return graph, paid
 
 
-def _sweep(spec, degree, budget, transposed, max_rows, window=None):
+def _sweep(spec, degree, transposed, max_rows, window=None):
     L = spec.L
     table = potential_steps(spec, degree, window)
     if len(table) < 2:  # no slice in the window: only the empty configuration
         return {(0,) * L: 1}
     rules = [rule.flipped() if transposed else rule for _, rule, _ in table]
     pot = [sum(e) for _, _, e in table]
-    if budget is None:
-        budget = _box_budget(rules, pot, degree)
     classes = [(t + 1) % L for t, _, _ in table[:-1]]
     total_degree = [w.total_degree for w in chamber_weights(spec)]
     weights = [total_degree[c] for c in classes]
 
     # stage 1: the partition graph; graph[i] holds the edges into slice i of the window
-    graph, spent = _partition_graph(rules, pot, degree, budget, max_rows)
+    graph, paid = _partition_graph(rules, pot, degree, max_rows)
 
     # stage 2: the least degree any recorded continuation still adds
     closing = rules[-1]
     least = _least_degree(
-        graph, weights, {nu: 0 if _closes(closing, nu) else _NEVER for nu in spent}
+        graph, weights, {nu: 0 if _closes(closing, nu) else _NEVER for nu in paid}
     )
 
     # stage 3: the class-count sweep over the recorded edges; a count vector
-    # (class counts, boxes, degree) is dropped once no recorded continuation
-    # can keep it within the box budget and the degree
-    frontier = {(): {(0,) * (L + 2): 1}}
+    # (class counts, degree) is dropped once no recorded continuation can
+    # keep it within the degree
+    frontier = {(): {(0,) * (L + 1): 1}}
     for edges_of, bound, w, cls in zip(graph, least, weights, classes):
         new = {}
         for mu, tabs in frontier.items():
-            for nu, boxes, room in edges_of[mu]:
+            for nu, boxes in edges_of[mu]:
                 step = w * boxes
                 limit = degree - step - bound[nu]
                 bucket = new.get(nu)
                 if bucket is None:
                     bucket = new[nu] = {}
                 for acc, count in tabs.items():
-                    if acc[L] > room or acc[-1] > limit:
+                    if acc[-1] > limit:
                         continue
                     if boxes:
                         acc = list(acc)
                         acc[cls] += boxes
-                        acc[L] += boxes
                         acc[-1] += step
                         acc = tuple(acc)
                     bucket[acc] = bucket.get(acc, 0) + count
@@ -403,10 +354,10 @@ def _class_counts_to_terms(spec, degree, totals):
     return terms
 
 
-def _enumerate(spec, degree, transposed, max_rows=None, window=None, budget=None):
+def _enumerate(spec, degree, transposed, max_rows=None, window=None):
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    totals = _sweep(spec, degree, budget, transposed, max_rows, window)
+    totals = _sweep(spec, degree, transposed, max_rows, window)
     terms = _class_counts_to_terms(spec, degree, totals)
     return TruncatedSeries(spec.L, degree, terms)
 

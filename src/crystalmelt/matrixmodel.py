@@ -157,13 +157,17 @@ def _split_steps(spec, degree):
     """The potential step table cut at its last ascending step, as (kept,
     dropped): dropped holds the descending steps before that step, kept every
     other step. Both are step tables, with every relation flipped when the
-    degree-0 step a* is "minus"."""
+    degree-0 step a* is "minus". After the cut each keeps only the steps
+    priced within degree: a pair factor has degree >= that of each of its
+    steps, so the others contribute pair factors of exactly 1 and no
+    excursion to chambers.row_bound (module docstring)."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     steps = potential_steps(spec, degree)
     if any(sum(e) == 0 and rule.relation == "minus" for _, rule, e in steps):
         steps = [(t, rule.flipped(), e) for t, rule, e in steps]
     last_up = max(t for t, rule, _ in steps if rule.direction == "ascending")
+    steps = [s for s in steps if sum(s[2]) <= degree]
     kept = [s for s in steps if s[1].direction == "ascending" or s[0] > last_up]
     dropped = [s for s in steps if s[1].direction == "descending" and s[0] < last_up]
     return kept, dropped

@@ -24,15 +24,8 @@ from crystalmelt import (
 from crystalmelt import enumeration, interlace_minus, interlace_plus
 from crystalmelt.chambers import potential_steps
 from crystalmelt.engines import ENGINES, engine_series
-from crystalmelt.enumeration import _enumerate
+from crystalmelt.enumeration import _NEVER, _enumerate
 from oracles import all_partitions_up_to, genuine_weights, plane_partition_counts
-
-
-def box_budget(spec, d):
-    """The sweep's box budget, read off the potential step table."""
-    table = potential_steps(spec, d)
-    rules = [rule for _, rule, _ in table]
-    return enumeration._box_budget(rules, [sum(e) for _, _, e in table], d)
 
 
 def test_c3_counts_plane_partitions():
@@ -59,18 +52,6 @@ def test_degree_validation():
         enumerate_z(c3_chamber(), -1)
 
 
-def test_box_budget_values():
-    assert box_budget(c3_chamber(), 7) == 7
-    assert box_budget(conifold_theta(0), 7) == 7
-    # theta_n's best excursion holds 2n+3 boxes for 3 units of degree, so the
-    # budget stretches to D(2n+3)/3 once D >= 3; below that it is not affordable
-    assert box_budget(conifold_theta(1), 6) == 10
-    assert box_budget(conifold_theta(2), 6) == 14
-    assert [box_budget(conifold_theta(1), d) for d in (1, 2)] == [0, 2]
-    laurent = ChamberSpec(3, (1, 1, 1), (3, 1, 5))
-    assert [box_budget(laurent, d) for d in range(7)] == [2 * d for d in range(7)]
-
-
 def test_conifold_enumeration_matches_product_small():
     for n in (0, 1):
         assert enumerate_z(conifold_theta(n), 6) == conifold_product(n, 6)
@@ -92,7 +73,7 @@ def test_shrinking_successors_are_every_interlacing_partition_in_order():
 
 def test_growing_successors_are_every_interlacing_partition_in_order():
     # the tables build successors block by block and range by range; the
-    # reference filters every partition within the budget through the
+    # reference filters every partition within the cap through the
     # interlacing predicates
     top = 9
     pool = all_partitions_up_to(top)
@@ -146,7 +127,7 @@ def test_single_row_restriction_on_c3():
     assert z.coefficient((3,)) == 3
 
 
-def test_widening_budget_and_window_changes_nothing():
+def test_widening_window_changes_nothing():
     rng = random.Random(12021)
     cases = (
         (c3_chamber(), 5),
@@ -156,7 +137,7 @@ def test_widening_budget_and_window_changes_nothing():
         (conifold_theta(2), 5),
         (conifold_theta(3), 4),
         (conifold_theta(3), 5),
-        # theta_n kept configurations use the whole budget at degree 3
+        # theta_n kept configurations reach the window's ends at degree 3
         (conifold_theta(2), 3),
         (conifold_theta(3), 3),
         # Laurent chambers outside theta_n
@@ -164,16 +145,11 @@ def test_widening_budget_and_window_changes_nothing():
         (ChamberSpec(2, (1, -1), (5, -1)), 3),
     )
     for spec, d in cases:
-        b = box_budget(spec, d)
         lo, hi = _sweep_window(spec, d)
         extra = rng.randint(1, 3)
         for transposed, engine in ((False, enumerate_z), (True, enumerate_z_transposed)):
             widened = _enumerate(
-                spec,
-                d,
-                transposed=transposed,
-                budget=b + extra,
-                window=(lo - extra * spec.L, hi + extra * spec.L),
+                spec, d, transposed=transposed, window=(lo - extra * spec.L, hi + extra * spec.L)
             )
             assert widened == engine(spec, d), (spec, d, transposed)
 
@@ -191,14 +167,15 @@ def test_window_longer_than_the_recursion_limit():
 
 
 def test_over_eager_lookahead_is_caught(monkeypatch):
-    # one box more than the true bound drops exactly the configurations that
-    # use the whole budget; c3 spends it at every degree, theta_2 at degree 3
-    true_bound = enumeration.least_future
-    monkeypatch.setattr(
-        enumeration, "least_future", lambda *args: true_bound(*args) + 1
-    )
+    # one unit more than the true bound drops configurations whose chain
+    # attains it at degree D: c3 at every degree, theta_2 and an L = 3
+    # Laurent chamber at degree 3
+    true_bound = enumeration._least_ahead
+    monkeypatch.setattr(enumeration, "_least_ahead", lambda *args: true_bound(*args) + 1)
     assert enumerate_z(c3_chamber(), 6) != macmahon(6)
     assert enumerate_z(conifold_theta(2), 3) != conifold_product(2, 3)
+    spec = ChamberSpec(3, (1, 1, 1), (3, 1, 5))
+    assert enumerate_z(spec, 3) != chamber_product(spec, 3)
 
 
 def _shift_degree_bound(monkeypatch, shift):
@@ -221,15 +198,14 @@ def test_over_eager_degree_bound_is_caught(monkeypatch):
 
 
 def _all_routes(spec, d):
-    b = box_budget(spec, d)
     lo, hi = _sweep_window(spec, d)
     wide = (lo - spec.L, hi + spec.L)
     return (
         enumerate_z(spec, d),
         enumerate_z_transposed(spec, d),
         enumerate_z_rows(spec, d, 2),
-        _enumerate(spec, d, transposed=False, budget=b + 2, window=wide),
-        _enumerate(spec, d, transposed=True, budget=b + 2, window=wide),
+        _enumerate(spec, d, transposed=False, window=wide),
+        _enumerate(spec, d, transposed=True, window=wide),
     )
 
 
@@ -296,22 +272,24 @@ def _window_steps(spec, d):
     return [rule for _, rule, _ in table], slices, [e for _, _, e in table]
 
 
+def _fits(rule, mu, nu):
+    """Whether the step mu -> nu obeys the slice rule."""
+    rel = interlace_plus if rule.relation == "plus" else interlace_minus
+    return rel(nu, mu) if rule.direction == "ascending" else rel(mu, nu)
+
+
 def _brute_configurations(rules, max_boxes):
     """Slice sizes of every configuration of the window with at most
     max_boxes boxes in all, by a search over every partition of the pool."""
     pool = all_partitions_up_to(max_boxes)
 
-    def fits(rule, mu, nu):
-        rel = interlace_plus if rule.relation == "plus" else interlace_minus
-        return rel(nu, mu) if rule.direction == "ascending" else rel(mu, nu)
-
     def walk(i, mu, sizes):
         if i == len(rules) - 1:
-            if fits(rules[i], mu, ()):
+            if _fits(rules[i], mu, ()):
                 yield sizes
             return
         for nu in pool:
-            if sum(sizes) + sum(nu) <= max_boxes and fits(rules[i], mu, nu):
+            if sum(sizes) + sum(nu) <= max_boxes and _fits(rules[i], mu, nu):
                 yield from walk(i + 1, nu, sizes + [sum(nu)])
 
     return walk(0, (), [])
@@ -323,8 +301,8 @@ def test_potential_table_prices_every_configuration_at_its_degree():
         for d in (1, 3):
             rules, weights, costs = _window_steps(spec, d)
             pot = [sum(e) for e in costs]
-            after = enumeration._least_drop_ahead(rules, pot)
-            assert min(map(min, costs)) >= 0 and min(after) >= 0, (spec, d)
+            cheapest = enumeration._cheapest_drops(rules, pot)
+            assert min(map(min, costs)) >= 0 and min(cheapest) >= 0, (spec, d)
             seen = 0
             for sizes in _brute_configurations(rules, 4):
                 padded = [0] + sizes + [0]
@@ -337,8 +315,8 @@ def test_potential_table_prices_every_configuration_at_its_degree():
 
 
 def test_potential_prune_changes_nothing(monkeypatch):
-    # zero costs never fire, so stage 1 runs on the box budget alone; the
-    # budget and the window still come from the true table
+    # a zero lookahead leaves stage 1 only the potential already paid and
+    # the least drop cost ahead; the window still comes from the true table
     theta = [(conifold_theta(n), d) for n in range(7) for d in (3, 5)]
     identity = [(spec, 5) for spec in _potential_chambers()[8:]]
 
@@ -350,52 +328,48 @@ def test_potential_prune_changes_nothing(monkeypatch):
         (spec, d, ()) for spec, d in identity
     ]
     pruned = [routes(*case) for case in cases]
-    graph = enumeration._partition_graph
-
-    def zero(rules, pot, *args):
-        return graph(rules, [0] * len(pot), *args)
-
-    monkeypatch.setattr(enumeration, "_partition_graph", zero)
+    monkeypatch.setattr(enumeration, "_least_ahead", lambda *args: 0)
     for case, expected in zip(cases, pruned):
         assert routes(*case) == expected, case
 
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_over_eager_potential_bound_is_caught(monkeypatch, which):
-    # one unit more on every step's cost (and so on the least drop cost
-    # ahead), or on the least drop cost ahead alone, drops configurations of
+    # one unit more on every step's cost (and so on the least drop costs
+    # ahead), or on the least drop costs ahead alone, drops configurations of
     # degree <= D
-    table, ahead = enumeration.potential_steps, enumeration._least_drop_ahead
+    table, cheapest = enumeration.potential_steps, enumeration._cheapest_drops
 
     def eager_table(spec, degree, window=None):
         return [(t, rule, (e[0] + 1,) + e[1:]) for t, rule, e in table(spec, degree, window)]
 
-    def eager_ahead(rules, pot):
-        return [m + 1 for m in ahead(rules, pot)]
+    def eager_cheapest(rules, pot):
+        return [c + 1 for c in cheapest(rules, pot)]
 
     if which == 0:
         monkeypatch.setattr(enumeration, "potential_steps", eager_table)
     else:
-        monkeypatch.setattr(enumeration, "_least_drop_ahead", eager_ahead)
+        monkeypatch.setattr(enumeration, "_cheapest_drops", eager_cheapest)
     for n in (1, 2, 3):
         assert enumerate_z(conifold_theta(n), 6) != conifold_product(n, 6), n
 
 
 def test_partition_graph_size_is_pinned(monkeypatch):
-    # the stage-1 edges the potential prune keeps (986, 1,463 and 1,716 on
-    # the box budget alone); a weaker valid bound records more of them
+    # the stage-1 edges the lookahead keeps; a weaker valid bound records
+    # more of them
     true_graph = enumeration._partition_graph
     edges = []
 
     def counted(*args):
-        graph, spent = true_graph(*args)
+        graph, paid = true_graph(*args)
         edges.append(sum(len(e) for edges_of in graph for e in edges_of.values()))
-        return graph, spent
+        return graph, paid
 
     monkeypatch.setattr(enumeration, "_partition_graph", counted)
     for n, d in ((1, 12), (2, 10), (3, 8)):
         enumerate_z(conifold_theta(n), d)
-    assert edges == [282, 177, 119]
+    enumerate_z(c3_chamber(), 22)
+    assert edges == [252, 165, 115, 2419]
 
 
 def test_laurent_chamber_outside_theta_n_enumerates():
@@ -403,9 +377,60 @@ def test_laurent_chamber_outside_theta_n_enumerates():
     assert enumerate_z(spec, 3) == chamber_product(spec, 3)
 
 
-def test_one_box_short_budget_is_caught(monkeypatch):
-    # the budget is attained here: a configuration of degree 3 holds all 2D boxes
-    true_budget = enumeration._box_budget
-    monkeypatch.setattr(enumeration, "_box_budget", lambda *args: true_budget(*args) - 1)
-    spec = ChamberSpec(3, (1, 1, 1), (3, 1, 5))
-    assert enumerate_z(spec, 3) != chamber_product(spec, 3)
+def test_lookahead_is_a_lower_bound_attained_on_c3():
+    # every continuation of nu through partitions of the pool pays at least
+    # the lookahead (least[nu], by a backward pass over the pool); on c3 the
+    # drop costs rise along the window, so the greedy chain itself attains it
+    pool = all_partitions_up_to(5)
+    chambers = [
+        c3_chamber(),
+        conifold_theta(0),
+        conifold_theta(2),
+        ChamberSpec(3, (1, 1, 1), (3, 1, 5)),
+        ChamberSpec(2, (1, 1), (5, -1)),
+    ]
+    for spec in chambers:
+        table = potential_steps(spec, 3)
+        rules = [rule for _, rule, _ in table]
+        pot = [sum(e) for _, _, e in table]
+        cheapest = enumeration._cheapest_drops(rules, pot)
+        steps = [(enumeration._least_step(r), c) for r, c in zip(rules[1:], cheapest[1:])]
+        memo = {}
+        least = {nu: pot[-1] * sum(nu) if _fits(rules[-1], nu, ()) else _NEVER for nu in pool}
+        for i in range(len(rules) - 2, -1, -1):
+            for nu in pool:
+                ahead = enumeration._least_ahead(steps, i, nu, memo)
+                assert ahead <= least[nu], (spec, i, nu)
+                if spec == c3_chamber():
+                    assert ahead == least[nu], (i, nu)
+            least = {
+                mu: min(
+                    (pot[i] * abs(sum(nu) - sum(mu)) + least[nu] for nu in pool if _fits(rules[i], mu, nu)),
+                    default=_NEVER,
+                )
+                for mu in pool
+            }
+
+
+def test_lookahead_charges_the_cheapest_drop_ahead(monkeypatch):
+    # charging each box the chain drops at its own step's cost overestimates a
+    # continuation that drops it later at a cheaper step
+    cheapest = enumeration._cheapest_drops
+
+    def own_cost(rules, pot):
+        c = cheapest(rules, pot)
+        return [e if r.direction == "descending" else x for r, e, x in zip(rules, pot, c)] + c[-1:]
+
+    monkeypatch.setattr(enumeration, "_cheapest_drops", own_cost)
+    spec = ChamberSpec(2, (1, 1), (5, -1))
+    assert enumerate_z(spec, 6) != chamber_product(spec, 6)
+
+
+def test_windows_ending_on_an_ascending_step_agree_on_every_route():
+    # at degree 1 the tables of theta_1..theta_3 end on an ascending step, so
+    # no drop follows it and nothing may grow there
+    for n in (1, 2, 3):
+        spec = conifold_theta(n)
+        assert potential_steps(spec, 1)[-1][1].direction == "ascending", n
+        for name in ENGINES:
+            assert engine_series(name, spec, 1)[0] == conifold_product(n, 1), (n, name)

@@ -364,3 +364,13 @@ def test_one_row_short_toeplitz_size_is_caught(monkeypatch):
         except StabilizationFailureError:
             failed += 1
     assert failed and not wrong, (failed, wrong)
+
+
+def test_toeplitz_route_on_a_far_chamber():
+    # theta_2000's table holds thousands of steps priced above the degree,
+    # whose pair factors are 1; the split keeps only the 2D + 1 steps priced
+    # within it
+    spec = conifold_theta(2000)
+    kept, dropped = matrixmodel._split_steps(spec, 4)
+    assert len(kept) + len(dropped) == 2 * 4 + 1
+    assert engine_series("toeplitz", spec, 4)[0] == chamber_product(spec, 4)
