@@ -14,7 +14,6 @@ from .chambers import (
     chamber_weights,
     conifold_theta,
     sigma,
-    slice_rule,
     theta_inverse,
     theta_value,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "series_to_json_dict",
     "series_to_tsv",
     "sigma",
-    "slice_rule",
     "spp_identity_squared",
     "spp_limit_check",
     "spp_top_squared",

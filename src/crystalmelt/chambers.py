@@ -11,6 +11,11 @@ type is sigma(theta^{-1}(i + 1/2)). Reading theta directly instead of its
 inverse collapses distinct chambers onto the same rule pattern and already
 miscounts single-box configurations, so the inverse reading is the one
 consistent with the chamber product formulas.
+
+Every route reads the chamber through one table, potential_steps: the 2D + 1
+steps priced within a degree D, the only ones a configuration of degree <= D
+changes across. residue_counts counts the q's of a step's price, of a
+slice's weight and of a run of slices between two table steps.
 """
 
 from dataclasses import dataclass
@@ -96,17 +101,18 @@ def theta_inverse(spec, h2):
     raise ValueError(f"{h2} is not an odd integer in the image of theta")
 
 
-def slice_rule(spec, i):
-    """Interlacing rule for the step between slices i and i+1."""
-    return _rule_at(spec, theta_inverse(spec, 2 * i + 1))
-
-
 def _rule_at(spec, pre):
     """The slice rule of the step whose half-integer has preimage pre."""
     return SliceRule(
         relation="plus" if sigma(spec, pre) == 1 else "minus",
         direction="ascending" if pre < 0 else "descending",
     )
+
+
+def residue_counts(lo, hi, L):
+    """How many integers j with lo <= j < hi fall in each residue class mod L,
+    negated when hi < lo (then over hi <= j < lo)."""
+    return tuple([(hi - 1 - r) // L - (lo - 1 - r) // L for r in range(L)])
 
 
 def chamber_weight(spec, i):
@@ -118,14 +124,7 @@ def chamber_weight(spec, i):
         raise ValueError("weight index must be a residue 0..L-1")
     lo = theta_inverse(spec, 2 * i - 1)
     hi = theta_inverse(spec, 2 * i + 1)
-    exps = [0] * spec.L
-    if lo < hi:
-        for j in range((lo + 1) // 2, (hi - 1) // 2 + 1):
-            exps[j % spec.L] += 1
-    else:
-        for j in range((hi + 1) // 2, (lo - 1) // 2 + 1):
-            exps[j % spec.L] -= 1
-    return WeightMonomial(tuple(exps))
+    return WeightMonomial(residue_counts((lo + 1) // 2, (hi + 1) // 2, spec.L))
 
 
 def chamber_weights(spec):
@@ -141,9 +140,10 @@ def conifold_index(spec):
     return None
 
 
-def potential_steps(spec, degree, window=None):
+def potential_steps(spec, degree):
     """The potential step table: (t, slice rule, e_t) for each step t, the
-    step between slices t and t+1, in time order.
+    step between slices t and t+1, priced within degree (deg e_t <= degree),
+    in time order.
 
     Let Pi(t) be the exponent vector of the slice weights summed up to slice
     t (from a fixed origin), and c the componentwise largest Pi(a) over the
@@ -176,48 +176,40 @@ def potential_steps(spec, degree, window=None):
       slice (row_bound sharpens this) and each walker stays at most D above
       its ground;
     - a configuration of degree <= D changes across no step priced above D.
-      It is empty far away on both sides, so it is empty up to the first step
-      priced within D and from the last one on: those steps and the ones
-      between them hold every configuration of degree <= D.
+      It is empty far away on both sides, so it is empty before the first
+      step priced within D and after the last one, and between two
+      consecutive such steps t < t' its slices t + 1..t' hold one partition.
+      These slices form a run, whose slices per class mod L are
+      residue_counts(t + 1, t' + 1, L).
 
     deg e_t is |x| - 1/2 on an ascending step and |x| + 1/2 on a descending
-    one, so the steps priced within degree D >= 0 are those with
-    -D - 1/2 <= x <= D - 1/2, and the table runs from the first to the last
-    of them by default. window = (lo, hi) asks for the steps from lo - 1 to
-    hi instead, around slices lo..hi.
+    one, so the steps priced within degree D >= 0 are the 2D + 1 steps with
+    t + 1/2 = theta(x) for x = -D - 1/2, ..., D - 1/2, and the table holds
+    exactly those, built from x without scanning t.
 
-    Each table is built once per (spec, degree, window) and kept; every call
-    returns that same tuple, which callers only read.
+    Each table is built once per (spec, degree) and kept; every call returns
+    that same tuple, which callers only read.
     """
-    return _step_table(spec, degree, window)
+    return _step_table(spec, degree)
 
 
 @lru_cache(maxsize=None)
-def _step_table(spec, degree, window):
+def _step_table(spec, degree):
     """potential_steps as a tuple, memoized."""
-    L = spec.L
-    if window is None:
-        # the steps t with t + 1/2 = theta(y), y doubled in -2D-1..2D-1
-        ends = [(theta_value(spec, y) - 1) // 2 for y in range(-2 * degree - 1, 2 * degree, 2)]
-        window = (min(ends) + 1, max(ends))
-
-    def step(t):
-        # with k = x + 1/2, e_t holds the q_j with min(k, 0) <= j < max(k, 0),
-        # counted per residue r mod L
-        pre = theta_inverse(spec, 2 * t + 1)
+    steps = []
+    for pre in range(-2 * degree - 1, 2 * degree, 2):
+        # with k = x + 1/2, e_t holds the q_j with min(k, 0) <= j < max(k, 0)
         k = (pre + 1) // 2
-        lo, hi = min(k, 0), max(k, 0)
-        e = tuple((hi - 1 - r) // L - (lo - 1 - r) // L for r in range(L))
-        return t, _rule_at(spec, pre), e
-
-    return tuple(step(t) for t in range(window[0] - 1, window[1] + 1))
+        t = (theta_value(spec, pre) - 1) // 2
+        steps.append((t, _rule_at(spec, pre), residue_counts(min(k, 0), max(k, 0), spec.L)))
+    return tuple(sorted(steps))  # theta is a bijection, so no two t are equal
 
 
 def row_bound(table, degree):
     """The most non-empty rows any slice of a configuration of degree <=
     degree can hold, R = max_s floor(degree / c(s)), 0 when no c(s) is within
-    degree, over a potential step table (or a subsequence of one, in time
-    order).
+    degree, over a potential step table or its kept steps
+    (matrixmodel._split_steps).
 
     Lemma. Slice s lies between steps s - 1 and s. Rows grow only on ascending
     steps and shrink only on descending ones, so each of the r non-empty rows

@@ -6,9 +6,10 @@ chamber itself, so a chamber gets the same routes however it was named on
 the command line. The command line runs every engine through here, and
 verify_all takes the product and Toeplitz values it checks from here.
 
-- enumerate: the slice sweep over the window of the potential step table
-  (chambers.potential_steps), pruned by the least potential still to pay
-  read off the same table, for every chamber.
+- enumerate: the slice sweep over the runs between the steps of the
+  potential step table (chambers.potential_steps), the 2D + 1 steps priced
+  within the degree D, pruned by the least potential still to pay read off
+  the same table, for every chamber.
 - product: the root-data product of products.chamber_product, for every
   chamber.
 - toeplitz: the Toeplitz determinant of the chamber's walker symbol times
@@ -19,6 +20,9 @@ verify_all takes the product and Toeplitz values it checks from here.
 - lgv: the determinant of the walker path matrix, summed by in-place
   transfer over the potential step table (lgv.walker_path_matrix), for
   every chamber, with chambers.row_bound of that table as the walker count.
+
+Every route reads the same 2D + 1 steps, so none does work that grows with
+the chamber's distance from the identity.
 """
 
 from .chambers import potential_steps, row_bound

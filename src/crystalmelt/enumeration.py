@@ -2,23 +2,33 @@
 
 A configuration is a bi-infinite partition sequence, empty at both ends,
 obeying the chamber's interlacing rule at every step. The sweep walks the
-finite window that can carry boxes in three stages. It first walks the
+steps of the potential step table (chambers.potential_steps), the 2D + 1
+steps priced within the degree D, in three stages. It first walks the
 partitions alone under the degree and records the kept steps between them;
 then it bounds, per partition, the degree still to come; last it runs a
-frontier of states (current partition, boxes spent per slice class, degree
+frontier of states (current partition, boxes spent per run vector, degree
 so far) with multiplicity counts over the recorded steps only.
 
-Potential: the sweep reads its rules, its window and its step costs from
-the potential step table (chambers.potential_steps), and step t costs e_t,
-the degree of the table's exponent vector, per box it adds or removes. The
-table's lemma proves that every e_t is >= 0, that a configuration's degree is
-the potential it pays step by step,
+Runs: the table's lemma proves that a configuration of degree <= D changes
+across no other step, so it is empty before the table's first step and after
+its last, and the slices from one table step to the next, a run, all hold
+one partition. The sweep moves from run to run; a run's vector counts its
+slices per class mod L, and a box held across the run weighs that vector
+times the slice weights (chamber_weights). Stage 3 keeps one counter per
+distinct run vector, so a move adds its boxes to a single counter, and the
+result maps each counter to its monomial at the end (_class_counts_to_terms).
+No slice between two table steps is visited, so the sweep's work does not
+grow with the chamber.
+
+Potential: step t costs e_t, the degree of the table's exponent vector, per
+box it adds or removes. The table's lemma proves that every e_t is >= 0 and
+that a configuration's degree is the potential it pays step by step,
 
     sum_t W_t |lam_t| = sum_t e_t ||lam_{t+1}| - |lam_t||,
 
-where W_t is the total degree of the weight of slice t's class, and that
-every configuration of degree <= D lies within the table's steps, which are
-therefore the sweep's window. The first stage carries the least potential
+where W_t is the total degree of the weight of slice t's class, so also
+sum over the runs r of W_r |lam_r| with W_r the total degree of run r's
+monomial. The first stage carries the least potential
 paid(mu) over the recorded histories of each partition, and records the step
 mu -> nu at t when paid(mu) + e_t ||nu| - |mu|| + ahead(t, nu) <= D, with
 ahead the lower bound below on the potential every continuation of nu still
@@ -36,8 +46,8 @@ one, and the least-successor map is monotone under containment. By induction,
 if nu_t contains g_t then nu_{t+1} contains least(nu_t), which contains
 least(g_t) = g_{t+1}: every continuation of nu dominates the greedy chain g of
 least successors slice by slice, and it can close on the empty partition only
-if the chain does (the step out of the window accepts () exactly when its
-least successor is ()). Let the chain drop k_j boxes at each descending step
+if the chain does (the table's last step accepts () exactly when its least
+successor is ()). Let the chain drop k_j boxes at each descending step
 j > t, and let c(j) be the least e over the descending steps from j on. Then
 
     ahead(t, nu) = sum_j k_j c(j),
@@ -58,23 +68,24 @@ m |nu| caps the successors generated: (e_t + m) |nu| <= D - paid(mu) +
 e_t |mu|, where e_t + m >= 1 by the table's lemma. With no descending step
 after t nothing but the empty partition closes, and nothing grows.
 
-Degree lookahead: a configuration's monomial has total degree
-sum_t W_t |lam_t|, and it is kept only when that sum is at most D. One
-backward min-plus pass over the recorded steps gives least_degree(t, nu): the
-least sum_{t' > t} W_t' |lam_t'| over recorded paths from nu to a closing
+Degree lookahead: a configuration's monomial has total degree sum_r W_r
+|lam_r| over its runs, and it is kept only when that sum is at most D. One
+backward min-plus pass over the recorded steps gives least_degree(r, nu): the
+least sum_{r' > r} W_r' |lam_r'| over recorded paths from nu to a closing
 partition, infinite if none. The graph records every step of every
 configuration of degree <= D, so a minimum over a superset of the real
-continuations is a lower bound on the degree any continuation still adds. So
-a state whose degree so far plus W_t |nu| plus least_degree(t, nu) exceeds D
-has no completion of degree <= D, and dropping it removes only configurations
-that the final degree filter would drop anyway: the result is the same as
-without the bound.
+continuations is a lower bound on the degree any continuation still adds. So a
+state whose degree so far plus W_r |nu| plus least_degree(r, nu) exceeds D has
+no completion of degree <= D, and dropping it removes only configurations that
+the final degree filter would drop anyway: the result is the same as without
+the bound.
 """
 
 from functools import lru_cache
 from itertools import groupby, product
+from operator import mul
 
-from .chambers import chamber_weights, potential_steps
+from .chambers import chamber_weights, potential_steps, residue_counts
 from .partitions import interlace_minus, interlace_plus
 from .series import TruncatedSeries
 
@@ -198,7 +209,7 @@ def _least_ahead(steps, i, lam, memo):
 
 
 def _closes(rule, mu):
-    """Whether the step out of the window, under rule, lands on the empty partition."""
+    """Whether the table's last step, under rule, lands on the empty partition."""
     rel = interlace_plus if rule.relation == "plus" else interlace_minus
     return rel((), mu) if rule.direction == "ascending" else rel(mu, ())
 
@@ -235,12 +246,12 @@ def _cheapest_drops(rules, pot):
 def _partition_graph(rules, pot, degree, max_rows):
     """Stage 1: the partition graph under the degree, carrying per partition
     only the least potential paid over its recorded histories (module
-    docstring). rules[i] is the step into slice i of the window and pot[i]
+    docstring). rules[i] is table step i, the step into run i, and pot[i]
     its potential cost. Returns (graph, paid): graph[i] maps each partition
-    at slice i - 1 to its recorded edges (nu, boxes) into slice i, and paid
-    maps the partitions of the last slice to their least potential paid."""
+    of run i - 1 to its recorded edges (nu, boxes) into run i, and paid maps
+    the partitions of the last run to their least potential paid."""
     c = _cheapest_drops(rules, pot)
-    # steps[j] leaves slice j; the last one is the step out of the window
+    # steps[j] leaves run j; the last one is the table's last step
     steps = [(_least_step(rule), cost) for rule, cost in zip(rules[1:], c[1:])]
     memo = {}
     graph = []
@@ -281,18 +292,25 @@ def _partition_graph(rules, pot, degree, max_rows):
     return graph, paid
 
 
-def _sweep(spec, degree, transposed, max_rows, window=None):
-    L = spec.L
-    table = potential_steps(spec, degree, window)
-    if len(table) < 2:  # no slice in the window: only the empty configuration
-        return {(0,) * L: 1}
+def _sweep(spec, degree, transposed, max_rows):
+    """The configurations of degree <= degree by the boxes they hold per run
+    vector: returns (runs, totals), with runs the distinct run vectors (a
+    run's slices per class mod L, chambers.potential_steps) and totals
+    mapping each tuple of boxes summed over the runs of each vector to its
+    number of configurations."""
+    table = potential_steps(spec, degree)
+    if len(table) < 2:  # no run between two steps: only the empty configuration
+        return [], {(): 1}
     rules = [rule.flipped() if transposed else rule for _, rule, _ in table]
     pot = [sum(e) for _, _, e in table]
-    classes = [(t + 1) % L for t, _, _ in table[:-1]]
+    times = [t for t, _, _ in table]
+    shapes = [residue_counts(t + 1, u + 1, spec.L) for t, u in zip(times, times[1:])]
+    runs = list(dict.fromkeys(shapes))
+    slots = [runs.index(shape) for shape in shapes]
     total_degree = [w.total_degree for w in chamber_weights(spec)]
-    weights = [total_degree[c] for c in classes]
+    weights = [sum(map(mul, shape, total_degree)) for shape in shapes]
 
-    # stage 1: the partition graph; graph[i] holds the edges into slice i of the window
+    # stage 1: the partition graph; graph[i] holds the edges into run i
     graph, paid = _partition_graph(rules, pot, degree, max_rows)
 
     # stage 2: the least degree any recorded continuation still adds
@@ -301,11 +319,11 @@ def _sweep(spec, degree, transposed, max_rows, window=None):
         graph, weights, {nu: 0 if _closes(closing, nu) else _NEVER for nu in paid}
     )
 
-    # stage 3: the class-count sweep over the recorded edges; a count vector
-    # (class counts, degree) is dropped once no recorded continuation can
-    # keep it within the degree
-    frontier = {(): {(0,) * (L + 1): 1}}
-    for edges_of, bound, w, cls in zip(graph, least, weights, classes):
+    # stage 3: the count sweep over the recorded edges; a count vector
+    # (boxes per run vector, degree) is dropped once no recorded continuation
+    # can keep it within the degree
+    frontier = {(): {(0,) * (len(runs) + 1): 1}}
+    for edges_of, bound, w, slot in zip(graph, least, weights, slots):
         new = {}
         for mu, tabs in frontier.items():
             for nu, boxes in edges_of[mu]:
@@ -319,7 +337,7 @@ def _sweep(spec, degree, transposed, max_rows, window=None):
                         continue
                     if boxes:
                         acc = list(acc)
-                        acc[cls] += boxes
+                        acc[slot] += boxes
                         acc[-1] += step
                         acc = tuple(acc)
                     bucket[acc] = bucket.get(acc, 0) + count
@@ -327,38 +345,40 @@ def _sweep(spec, degree, transposed, max_rows, window=None):
                     del new[nu]
         frontier = new
 
-    # the step out of the window must land on the empty partition; the bounds
-    # already ensure it, this keeps the sum right for any bound
+    # the step out of the last run must land on the empty partition; the
+    # bounds already ensure it, this keeps the sum right for any bound
     totals = {}
     for mu, tabs in frontier.items():
         if _closes(closing, mu):
             for acc, count in tabs.items():
-                key = acc[:L]
+                key = acc[:-1]
                 totals[key] = totals.get(key, 0) + count
-    return totals
+    return runs, totals
 
 
-def _class_counts_to_terms(spec, degree, totals):
+def _class_counts_to_terms(spec, degree, runs, totals):
+    """The series of _sweep's totals: each run vector times the slice weights
+    (chamber_weights) is the monomial of one box held across that run."""
     weights = [w.exponents for w in chamber_weights(spec)]
     L = spec.L
+    monomials = [[sum(n * w[v] for n, w in zip(run, weights)) for v in range(L)] for run in runs]
     terms = {}
     for acc, count in totals.items():
         exps = [0] * L
-        for cls in range(L):
-            for v in range(L):
-                exps[v] += acc[cls] * weights[cls][v]
-        assert all(e >= 0 for e in exps), f"negative exponent from class counts {acc}"
+        for boxes, monomial in zip(acc, monomials):
+            for v, e in enumerate(monomial):
+                exps[v] += boxes * e
+        assert all(e >= 0 for e in exps), f"negative exponent from run counts {acc}"
         if sum(exps) <= degree:
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + count
     return terms
 
 
-def _enumerate(spec, degree, transposed, max_rows=None, window=None):
+def _enumerate(spec, degree, transposed, max_rows=None):
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    totals = _sweep(spec, degree, transposed, max_rows, window)
-    terms = _class_counts_to_terms(spec, degree, totals)
+    terms = _class_counts_to_terms(spec, degree, *_sweep(spec, degree, transposed, max_rows))
     return TruncatedSeries(spec.L, degree, terms)
 
 

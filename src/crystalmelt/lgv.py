@@ -5,7 +5,8 @@ via h_k(t) = lambda_{N-k+1}(t) + k - 1; non-intersecting path families on a
 weighted DAG count the same thing, and the path-counting determinant (the
 Lindstrom/Gessel/Viennot identity) computes their weighted sum.
 
-Graph geometry: integer time slices t live at even columns x = 2t. A "plus"
+Graph geometry: step i of the step table runs from column 2i to column
+2i + 2, so the run of slices before it lives at the even column 2i. A "plus"
 step is drawn with straight and diagonal edges between consecutive even
 columns; a "minus" step (where a walker may jump by any amount) routes
 through a rail column at odd x whose vertical edges carry the per-unit
@@ -15,18 +16,14 @@ All slopes are in {0, +-1} and time only advances, hence any vertex-disjoint
 family connects source k to sink k and no signed terms survive beyond the
 non-intersecting sum.
 
-Step table and window. Every walker route reads chambers.potential_steps: a
-unit of height raised at ascending step t, or dropped at descending step t,
-costs x^{e_t}, and that table's lemmas prove every e_t >= 0, that R walkers
+Step table. Every walker route reads chambers.potential_steps: a unit of
+height raised at ascending step t, or dropped at descending step t, costs
+x^{e_t}, and that table's lemmas prove every e_t >= 0, that R walkers
 (chambers.row_bound, R <= D) at heights up to walkers - 1 + D carry every
-configuration of degree <= D, and that its steps, from the first to the last
-priced within the cutoff, span every such configuration. A step priced above
-the cutoff has no rise or drop edge, only weight-1 straight edges (rails
-included), which carry every path straight across: the step maps each path
-onto itself and each vertex-disjoint family onto one. So no step outside the
-table changes a path sum, and every path-matrix entry stays identical, not
-just the determinant. walker_graph builds its edges from the table and
-profile_bijection_check reads its slice rules from it.
+configuration of degree <= D, and that such a configuration changes only at
+the table's steps, the 2D + 1 steps priced within the cutoff. walker_graph
+builds its edges from the table and profile_bijection_check reads its slice
+rules from it.
 
 Transfer lemma. walker_path_matrix reads the same table without building a
 graph. A source's row is a vector over the heights 0..walkers-1+D, one path
@@ -56,7 +53,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
 from operator import add, itemgetter
 
-from .chambers import chamber_weights, potential_steps
+from .chambers import chamber_weights, potential_steps, residue_counts
 from .errors import InvalidGraphError, OracleTooLargeError
 from .partitions import interlace_minus, interlace_plus
 from .series import TruncatedSeries, det_division_free
@@ -395,9 +392,9 @@ def walker_graph(spec, walkers, degree):
     elevated through slices s+1..s', so it must cost the product of the slice
     weights over that range; the rise edge carries x^{e_s} and the fall edge
     x^{e_s'} of chambers.potential_steps, which multiply to exactly that. The
-    graph spans only the steps of that table: the others have straight edges
-    only (the module docstring). The lgv route sums the same paths without
-    this graph (walker_path_matrix); the graph stays as its oracle.
+    graph spans only the steps of that table (the module docstring). The lgv
+    route sums the same paths without this graph (walker_path_matrix); the
+    graph stays as its oracle.
     """
     return _walker_graph(spec.L, walkers, degree, *_walker_table(spec, walkers, degree))
 
@@ -406,10 +403,10 @@ def _walker_graph(L, walkers, degree, hmax, steps):
     """walker_graph up to height hmax over a potential step table."""
     one = TruncatedSeries.one(L, degree)
     edges = []
-    for t, rule, exps in steps:
+    for i, (_, rule, exps) in enumerate(steps):
         unit = TruncatedSeries.monomial(L, degree, exps)
         lift = 1 if rule.direction == "ascending" else -1
-        x0, x1 = 2 * t, 2 * t + 2
+        x0, x1 = 2 * i, 2 * i + 2
         if rule.relation == "plus":
             for h in range(hmax + 1):
                 edges.append(((x0, h), (x1, h), one))
@@ -422,8 +419,8 @@ def _walker_graph(L, walkers, degree, hmax, steps):
                 edges.append(((rail, h), (x1, h), one))
                 if 0 <= h + lift <= hmax:
                     edges.append(((rail, h), (rail, h + lift), unit))
-    sources = tuple((2 * steps[0][0], k) for k in range(walkers))
-    sinks = tuple((2 * steps[-1][0] + 2, k) for k in range(walkers))
+    sources = tuple((0, k) for k in range(walkers))
+    sinks = tuple((2 * len(steps), k) for k in range(walkers))
     return WeightedDag(L, degree, edges, sources, sinks)
 
 
@@ -471,9 +468,10 @@ def _heights_to_partition(heights):
 def _family_verdict(steps, weights, profile, gadget_vertices, total_exp):
     """The reason one family fails the round trip, or None when it passes.
 
-    steps is the potential step table, profile the heights at each
-    slice, gadget_vertices[i] the vertices the family uses beyond slice i and
-    total_exp its weight exponent vector.
+    steps is the potential step table, profile[i] the heights before step i
+    (after the last step for i = len(steps)), held across the run of slices
+    from step i - 1 to step i, gadget_vertices[i] the vertices the family
+    uses crossing step i and total_exp its weight exponent vector.
     """
     walkers = len(profile[0])
     L = len(weights)
@@ -488,8 +486,7 @@ def _family_verdict(steps, weights, profile, gadget_vertices, total_exp):
         lams.append(lam)
     if lams[0] or lams[-1]:
         return "configuration not empty at the window edge"
-    class_counts = [0] * L
-    for (t, rule, _), before, after in zip(steps, lams, lams[1:]):
+    for (_, rule, _), before, after in zip(steps, lams, lams[1:]):
         rel = interlace_plus if rule.relation == "plus" else interlace_minus
         if rule.direction == "ascending":
             ok = rel(after, before)
@@ -497,7 +494,11 @@ def _family_verdict(steps, weights, profile, gadget_vertices, total_exp):
             ok = rel(before, after)
         if not ok:
             return "interlacing rule violated"
-        class_counts[(t + 1) % L] += sum(after)
+    # every slice of the run from step t to the next step u holds lam
+    class_counts = [0] * L
+    for (t, _, _), (u, _, _), lam in zip(steps, steps[1:], lams[1:]):
+        for cls, n in enumerate(residue_counts(t + 1, u + 1, L)):
+            class_counts[cls] += n * sum(lam)
     mapped = [0] * L
     for cls in range(L):
         for i in range(L):
@@ -505,8 +506,10 @@ def _family_verdict(steps, weights, profile, gadget_vertices, total_exp):
     if tuple(mapped) != total_exp:
         return "family weight disagrees with the configuration weight"
     # rebuild the paths from the profile and compare vertex sets
-    for (t, rule, _), before, after, used in zip(steps, profile, profile[1:], gadget_vertices):
-        x0 = 2 * t
+    for i, ((_, rule, _), before, after, used) in enumerate(
+        zip(steps, profile, profile[1:], gadget_vertices)
+    ):
+        x0 = 2 * i
         rebuilt = set()
         for h0, h1 in zip(before, after):
             if rule.relation == "minus":
@@ -580,8 +583,8 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
             if verdict is not None:
                 failures.append((verdict, profile))
             return
-        t, rule, _ = steps[i]
-        x0 = 2 * t
+        rule = steps[i][1]
+        x0 = 2 * i
         options = []
         for k, h in enumerate(heights):
             got = moves.get((k, x0, h))

@@ -88,13 +88,9 @@ class MatrixModelResult(NamedTuple):
 def _times_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps, sign: int) -> dict:
     """coeffs * (1 + sign * x^exps * z^zpow) as a shift-and-add, clipped to the
     window like the symbol product; coeffs maps each z-power to a plain
-    {exponents: coefficient} dict and is not modified. Multiplies by 1 when
-    exps exceeds the cutoff, where the factor is 1 at this truncation."""
-    deg = sum(exps)
+    {exponents: coefficient} dict and is not modified."""
     out = {m: dict(terms) for m, terms in coeffs.items()}
-    if deg > cutoff:
-        return out
-    room = cutoff - deg
+    room = cutoff - sum(exps)
     for m, terms in coeffs.items():
         p = m + zpow
         if abs(p) > window:
@@ -118,12 +114,9 @@ def _divide_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps) -> d
     g = f + x^exps z^zpow g, so g_m = f_m + x^exps g_{m - zpow}, solved one
     z-power at a time in the direction of zpow until the carry runs out or
     leaves the window. exps must have positive degree (the symbols here are
-    strict); returns a copy when it exceeds the cutoff, where the factor is 1.
+    strict).
     """
-    deg = sum(exps)
-    if deg > cutoff:
-        return {m: dict(terms) for m, terms in coeffs.items()}
-    room = cutoff - deg
+    room = cutoff - sum(exps)
     m, last = (min(coeffs), max(coeffs)) if zpow > 0 else (max(coeffs), min(coeffs))
     out = {}
     carry = {}
@@ -157,17 +150,13 @@ def _split_steps(spec, degree):
     """The potential step table cut at its last ascending step, as (kept,
     dropped): dropped holds the descending steps before that step, kept every
     other step. Both are step tables, with every relation flipped when the
-    degree-0 step a* is "minus". After the cut each keeps only the steps
-    priced within degree: a pair factor has degree >= that of each of its
-    steps, so the others contribute pair factors of exactly 1 and no
-    excursion to chambers.row_bound (module docstring)."""
+    degree-0 step a* is "minus" (module docstring)."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     steps = potential_steps(spec, degree)
     if any(sum(e) == 0 and rule.relation == "minus" for _, rule, e in steps):
         steps = [(t, rule.flipped(), e) for t, rule, e in steps]
     last_up = max(t for t, rule, _ in steps if rule.direction == "ascending")
-    steps = [s for s in steps if sum(s[2]) <= degree]
     kept = [s for s in steps if s[1].direction == "ascending" or s[0] > last_up]
     dropped = [s for s in steps if s[1].direction == "descending" and s[0] < last_up]
     return kept, dropped

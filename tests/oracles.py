@@ -7,6 +7,7 @@ bug in the code under test.
 """
 
 import itertools
+from typing import NamedTuple
 
 
 def plane_partition_counts(max_total):
@@ -113,24 +114,66 @@ def genuine_weights(weights):
     return all(min(w.exponents) >= 0 and sum(w.exponents) >= 1 for w in weights)
 
 
+class Rule(NamedTuple):
+    """A step's interlacing rule, read the way the package's slice rules are."""
+
+    relation: str  # "plus" or "minus"
+    direction: str  # "ascending" or "descending"
+
+    def flipped(self):
+        return Rule("minus" if self.relation == "plus" else "plus", self.direction)
+
+
+def theta_preimage(spec, h2):
+    """theta^{-1}(h2), doubled, for the chamber spec (any object with L and
+    the doubled theta images), with theta extended from its images on 1/2,
+    ..., L - 1/2 by theta(h + L) = theta(h) + L: 2r + 1 + h2 - theta_r for
+    the r with theta_r = h2 mod 2L."""
+    L = spec.L
+    r, t = next((r, t) for r, t in enumerate(spec.theta) if (h2 - t) % (2 * L) == 0)
+    return 2 * r + 1 + h2 - t
+
+
+def slice_rule(spec, i):
+    """The rule of the step between slices i and i + 1 of the chamber spec
+    (with L, rho and the doubled theta images): with x = theta^{-1}(i + 1/2),
+    ascending when x < 0, and "plus" when rho at x's residue is +1."""
+    x = theta_preimage(spec, 2 * i + 1)
+    relation = "plus" if spec.rho[((x - 1) // 2) % spec.L] == 1 else "minus"
+    return Rule(relation, "ascending" if x < 0 else "descending")
+
+
+def contiguous_steps(spec, degree, extra):
+    """Every step t, as (t, rule, e_t), from extra steps before the first
+    step priced within degree to extra steps after the last one: the step
+    table in the form that lists the steps priced above the degree too. With
+    k = theta^{-1}(t + 1/2) + 1/2, e_t counts per residue mod L the integers
+    j with min(k, 0) <= j < max(k, 0)."""
+    L = spec.L
+
+    def step(t):
+        k = (theta_preimage(spec, 2 * t + 1) + 1) // 2
+        lo, hi = min(k, 0), max(k, 0)
+        return t, slice_rule(spec, t), tuple(len(range(lo + (r - lo) % L, hi, L)) for r in range(L))
+
+    radius = max(map(abs, spec.theta)) + (degree + 1) * L
+    priced = [t for t in range(-radius, radius) if sum(step(t)[2]) <= degree]
+    assert -radius < priced[0] and priced[-1] < radius - 1  # both ends inside the scan
+    return [step(t) for t in range(priced[0] - extra, priced[-1] + extra + 1)]
+
+
 def peak_slices(spec):
     """Slices p where the step pattern of the chamber spec (any object with
     L and the doubled theta images) turns from ascending to descending.
 
-    Step i ascends when theta^{-1}(i + 1/2) < 0, with theta extended from its
-    images on 1/2, ..., L - 1/2 by theta(h + L) = theta(h) + L. Far enough
-    left every step ascends and far enough right every step descends; the
-    scan radius below over-covers the turns."""
-    L, theta = spec.L, spec.theta
+    Step i ascends when theta^{-1}(i + 1/2) < 0. Far enough left every step
+    ascends and far enough right every step descends; the scan radius below
+    over-covers the turns."""
 
     def ascends(i):
-        h2 = 2 * i + 1
-        # doubled, theta^{-1}(h2) = 2r + 1 + h2 - theta_r for the r with
-        # theta_r = h2 mod 2L
-        r, t = next((r, t) for r, t in enumerate(theta) if (h2 - t) % (2 * L) == 0)
-        return 2 * r + 1 + h2 - t < 0
+        return theta_preimage(spec, 2 * i + 1) < 0
 
-    radius = max(map(abs, theta)) // 2 + 2 * L + 2
+    radius = max(map(abs, spec.theta)) // 2 + 2 * spec.L + 2
     return [p for p in range(-radius, radius + 1) if ascends(p - 1) and not ascends(p)]
 
 

@@ -12,14 +12,13 @@ from crystalmelt import (
     enumerate_z,
     enumerate_z_rows,
     sigma,
-    slice_rule,
     theta_inverse,
     theta_value,
 )
 from crystalmelt import chambers
 from crystalmelt.chambers import conifold_index, potential_steps, row_bound
 from crystalmelt.engines import engine_series
-from oracles import genuine_weights, peak_slices, shifted_chamber_data
+from oracles import genuine_weights, peak_slices, shifted_chamber_data, slice_rule, theta_preimage
 
 
 def random_valid_chamber(rng, L):
@@ -80,20 +79,25 @@ def test_sigma_extends_rho_periodically():
         sigma(spec, 4)
 
 
+def table_rules(spec, degree):
+    """{t: slice rule} over the package's potential step table."""
+    return {t: rule for t, rule, _ in potential_steps(spec, degree)}
+
+
 def test_c3_slice_rules():
-    spec = c3_chamber()
-    assert slice_rule(spec, -1).direction == "ascending"
-    assert slice_rule(spec, 0).direction == "descending"
+    rules = table_rules(c3_chamber(), 6)
+    assert rules[-1].direction == "ascending"
+    assert rules[0].direction == "descending"
     for i in range(-5, 5):
-        assert slice_rule(spec, i).relation == "plus"
+        assert rules[i].relation == "plus"
 
 
 def test_conifold_theta0_slice_rules():
-    spec = conifold_theta(0)
+    rules = table_rules(conifold_theta(0), 6)
     # theta is the identity: ascending strictly left of 0, descending after,
     # relation at step i given by the rho sign at residue i mod 2
     for i in range(-6, 6):
-        r = slice_rule(spec, i)
+        r = rules[i]
         assert r.direction == ("ascending" if i < 0 else "descending")
         assert r.relation == ("plus" if i % 2 == 0 else "minus")
 
@@ -101,13 +105,13 @@ def test_conifold_theta0_slice_rules():
 def test_conifold_theta1_has_two_peaks():
     # theta_1 swaps 1/2 and 3/2 across the period, splitting the turn: the
     # steps turn from ascending to descending at slices -1 and 1
-    spec = conifold_theta(1)
-    directions = [slice_rule(spec, i).direction == "ascending" for i in range(-6, 6)]
+    rules = table_rules(conifold_theta(1), 8)
+    directions = [rules[i].direction == "ascending" for i in range(-6, 6)]
     assert directions == [True] * 5 + [False, True] + [False] * 5
 
 
 def test_slice_rule_flipped():
-    r = slice_rule(c3_chamber(), 0)
+    r = table_rules(c3_chamber(), 1)[0]
     assert r.flipped().relation == "minus"
     assert r.flipped().direction == r.direction
 
@@ -134,6 +138,19 @@ def test_chamber_weight_exponents_for_known_chambers():
     assert sorted(w.exponents for w in w1) == [(-1, 0), (2, 1)]
     assert not genuine_weights(w1)
     assert genuine_weights(w0)
+
+
+def test_chamber_weight_counts_the_q_between_the_preimages():
+    # slice i weighs the q_j strictly between theta^{-1}(i - 1/2) and
+    # theta^{-1}(i + 1/2), inverted when those are out of order
+    for spec in scan_chambers():
+        for i in range(spec.L):
+            lo, hi = theta_preimage(spec, 2 * i - 1), theta_preimage(spec, 2 * i + 1)
+            sign = 1 if lo < hi else -1
+            exps = [0] * spec.L
+            for j in range((min(lo, hi) + 1) // 2, (max(lo, hi) - 1) // 2 + 1):
+                exps[j % spec.L] += sign
+            assert chamber_weight(spec, i).exponents == tuple(exps), (spec, i)
 
 
 def test_chamber_weight_index_validation():
@@ -190,8 +207,8 @@ def test_rise_drop_pairs_cost_a_genuine_monomial():
 def table_by_definition(spec, degree):
     """potential_steps from its definition: c the componentwise largest Pi
     over the ascending steps, e_t = c - Pi(t) on an ascending step and
-    Pi(t) - c on a descending one, from the first to the last step with
-    deg e_t <= degree."""
+    Pi(t) - c on a descending one, at every step with deg e_t <= degree;
+    each rule is an oracles.Rule, a (relation, direction) pair."""
     runs = prefix_runs(spec, max(map(abs, spec.theta)) + (degree + 2) * spec.L)
     ascents = [pi for rule, pi in runs.values() if rule.direction == "ascending"]
     c = [max(column) for column in zip(*ascents)]
@@ -201,16 +218,23 @@ def table_by_definition(spec, degree):
     ]
     kept = [i for i, (_, _, e) in enumerate(table) if sum(e) <= degree]
     assert 0 < kept[0] and kept[-1] < len(table) - 1  # both ends inside the scan
-    return table[kept[0] : kept[-1] + 1]
+    return [table[i] for i in kept]
 
 
 def test_potential_steps_equal_the_runs_from_chamber_weights():
     for spec in scan_chambers():
         for degree in (0, 2, 5):
-            assert list(potential_steps(spec, degree)) == table_by_definition(spec, degree), (
-                spec,
-                degree,
-            )
+            table = [(t, (r.relation, r.direction), e) for t, r, e in potential_steps(spec, degree)]
+            assert table == table_by_definition(spec, degree), (spec, degree)
+
+
+def test_potential_steps_are_the_steps_priced_within_the_degree():
+    for spec in scan_chambers():
+        for degree in range(6):
+            table = potential_steps(spec, degree)
+            assert len(table) == 2 * degree + 1, (spec, degree)
+            assert all(s[0] < u[0] for s, u in zip(table, table[1:])), (spec, degree)
+            assert all(sum(e) <= degree for _, _, e in table), (spec, degree)
 
 
 def test_row_bound_values():

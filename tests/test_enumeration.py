@@ -24,8 +24,8 @@ from crystalmelt import (
 from crystalmelt import enumeration, interlace_minus, interlace_plus
 from crystalmelt.chambers import potential_steps
 from crystalmelt.engines import ENGINES, engine_series
-from crystalmelt.enumeration import _NEVER, _enumerate
-from oracles import all_partitions_up_to, genuine_weights, plane_partition_counts
+from crystalmelt.enumeration import _NEVER
+from oracles import all_partitions_up_to, contiguous_steps, genuine_weights, plane_partition_counts
 
 
 def test_c3_counts_plane_partitions():
@@ -127,7 +127,16 @@ def test_single_row_restriction_on_c3():
     assert z.coefficient((3,)) == 3
 
 
-def test_widening_window_changes_nothing():
+def _contiguous(monkeypatch, extra):
+    """Hand the sweep the contiguous step table widened by extra steps on
+    each side (oracles.contiguous_steps) in place of the steps priced
+    within the degree."""
+    monkeypatch.setattr(
+        enumeration, "potential_steps", lambda spec, degree: contiguous_steps(spec, degree, extra)
+    )
+
+
+def test_widening_window_changes_nothing(monkeypatch):
     rng = random.Random(12021)
     cases = (
         (c3_chamber(), 5),
@@ -137,7 +146,7 @@ def test_widening_window_changes_nothing():
         (conifold_theta(2), 5),
         (conifold_theta(3), 4),
         (conifold_theta(3), 5),
-        # theta_n kept configurations reach the window's ends at degree 3
+        # theta_n kept configurations reach the table's ends at degree 3
         (conifold_theta(2), 3),
         (conifold_theta(3), 3),
         # Laurent chambers outside theta_n
@@ -145,25 +154,18 @@ def test_widening_window_changes_nothing():
         (ChamberSpec(2, (1, -1), (5, -1)), 3),
     )
     for spec, d in cases:
-        lo, hi = _sweep_window(spec, d)
-        extra = rng.randint(1, 3)
-        for transposed, engine in ((False, enumerate_z), (True, enumerate_z_transposed)):
-            widened = _enumerate(
-                spec, d, transposed=transposed, window=(lo - extra * spec.L, hi + extra * spec.L)
-            )
-            assert widened == engine(spec, d), (spec, d, transposed)
+        extra = rng.randint(1, 3) * spec.L
+        for engine in (enumerate_z, enumerate_z_transposed):
+            expected = engine(spec, d)
+            with monkeypatch.context() as m:
+                _contiguous(m, extra)
+                assert engine(spec, d) == expected, (spec, d, engine)
 
 
-def _sweep_window(spec, d):
-    """The slices lo..hi of the sweep's default window."""
-    table = potential_steps(spec, d)
-    return table[0][0] + 1, table[-1][0]
-
-
-def test_window_longer_than_the_recursion_limit():
+def test_window_longer_than_the_recursion_limit(monkeypatch):
     # the lookahead walks its chains of least successors without recursing
-    window = (-3000, 3000)
-    assert _enumerate(c3_chamber(), 3, transposed=False, window=window) == macmahon(3)
+    _contiguous(monkeypatch, 3000)
+    assert enumerate_z(c3_chamber(), 3) == macmahon(3)
 
 
 def test_over_eager_lookahead_is_caught(monkeypatch):
@@ -197,24 +199,20 @@ def test_over_eager_degree_bound_is_caught(monkeypatch):
     assert enumerate_z(conifold_theta(2), 3) != conifold_product(2, 3)
 
 
-def _all_routes(spec, d):
-    lo, hi = _sweep_window(spec, d)
-    wide = (lo - spec.L, hi + spec.L)
-    return (
-        enumerate_z(spec, d),
-        enumerate_z_transposed(spec, d),
-        enumerate_z_rows(spec, d, 2),
-        _enumerate(spec, d, transposed=False, window=wide),
-        _enumerate(spec, d, transposed=True, window=wide),
-    )
+def _all_routes(monkeypatch, spec, d):
+    routes = [enumerate_z(spec, d), enumerate_z_transposed(spec, d), enumerate_z_rows(spec, d, 2)]
+    with monkeypatch.context() as m:
+        _contiguous(m, spec.L)
+        routes += [enumerate_z(spec, d), enumerate_z_transposed(spec, d)]
+    return routes
 
 
 def test_degree_prune_changes_nothing(monkeypatch):
     cases = [(conifold_theta(n), d) for n in (1, 2, 3, 4) for d in (3, 4, 5, 6)]
-    pruned = [_all_routes(spec, d) for spec, d in cases]
+    pruned = [_all_routes(monkeypatch, spec, d) for spec, d in cases]
     _shift_degree_bound(monkeypatch, -math.inf)
     for (spec, d), expected in zip(cases, pruned):
-        assert _all_routes(spec, d) == expected, (spec, d)
+        assert _all_routes(monkeypatch, spec, d) == expected, (spec, d)
 
 
 def _one_period_thetas(L):
@@ -263,13 +261,17 @@ def _potential_chambers():
 
 
 def _window_steps(spec, d):
-    """The sweep's step rules (into each slice of its window, then out of it),
-    each slice's weight exponents and each step's potential cost vector, as
-    _sweep reads them from the potential step table."""
+    """The sweep's step rules (into each run of the table, then out of it),
+    each run's monomial (the weights of its slices multiplied up) and each
+    step's potential cost vector, as _sweep reads them from the potential
+    step table."""
     table = potential_steps(spec, d)
     weights = [w.exponents for w in chamber_weights(spec)]
-    slices = [weights[(t + 1) % spec.L] for t, _, _ in table[:-1]]
-    return [rule for _, rule, _ in table], slices, [e for _, _, e in table]
+    runs = [
+        [sum(weights[s % spec.L][v] for s in range(t + 1, u + 1)) for v in range(spec.L)]
+        for (t, _, _), (u, _, _) in zip(table, table[1:])
+    ]
+    return [rule for _, rule, _ in table], runs, [e for _, _, e in table]
 
 
 def _fits(rule, mu, nu):
@@ -340,8 +342,8 @@ def test_over_eager_potential_bound_is_caught(monkeypatch, which):
     # degree <= D
     table, cheapest = enumeration.potential_steps, enumeration._cheapest_drops
 
-    def eager_table(spec, degree, window=None):
-        return [(t, rule, (e[0] + 1,) + e[1:]) for t, rule, e in table(spec, degree, window)]
+    def eager_table(spec, degree):
+        return [(t, rule, (e[0] + 1,) + e[1:]) for t, rule, e in table(spec, degree)]
 
     def eager_cheapest(rules, pot):
         return [c + 1 for c in cheapest(rules, pot)]
@@ -369,7 +371,7 @@ def test_partition_graph_size_is_pinned(monkeypatch):
     for n, d in ((1, 12), (2, 10), (3, 8)):
         enumerate_z(conifold_theta(n), d)
     enumerate_z(c3_chamber(), 22)
-    assert edges == [252, 165, 115, 2419]
+    assert edges == [250, 159, 104, 2419]
 
 
 def test_laurent_chamber_outside_theta_n_enumerates():
@@ -434,3 +436,29 @@ def test_windows_ending_on_an_ascending_step_agree_on_every_route():
         assert potential_steps(spec, 1)[-1][1].direction == "ascending", n
         for name in ENGINES:
             assert engine_series(name, spec, 1)[0] == conifold_product(n, 1), (n, name)
+
+
+def _first_slice_only(monkeypatch, module):
+    """Make module price every run of the step table as its first slice alone."""
+    counts = module.residue_counts
+    monkeypatch.setattr(module, "residue_counts", lambda lo, hi, L: counts(lo, min(hi, lo + 1), L))
+
+
+RUN_CHAMBERS = (
+    conifold_theta(1),
+    conifold_theta(2),
+    conifold_theta(3),
+    ChamberSpec(3, (1, 1, 1), (3, 1, 5)),
+)
+
+
+def test_run_charged_to_its_first_slice_only_is_caught(monkeypatch):
+    # every slice of a run holds the run's partition; charging its boxes to
+    # the first slice alone miscounts, or leaves a negative exponent
+    _first_slice_only(monkeypatch, enumeration)
+    for spec in RUN_CHAMBERS:
+        try:
+            caught = enumerate_z(spec, 4) != chamber_product(spec, 4)
+        except AssertionError as exc:
+            caught = "negative exponent" in str(exc)
+        assert caught, spec

@@ -21,14 +21,14 @@ from crystalmelt import (
     path_matrix,
     profile_bijection_check,
     random_layered_dag,
-    slice_rule,
     walker_graph,
     walker_path_matrix,
 )
 from crystalmelt import WeightedDag, chamber_product, chamber_weights, engines, enumeration, lgv
 from crystalmelt.engines import engine_series
 from crystalmelt.lgv import _paths_between
-from oracles import genuine_weights, peak_slices, shifted_chamber_data
+from oracles import genuine_weights, peak_slices, shifted_chamber_data, slice_rule
+from test_enumeration import RUN_CHAMBERS, _first_slice_only
 from test_matrixmodel import scan_sample
 
 
@@ -371,9 +371,14 @@ def walker_outputs(monkeypatch, spec, walkers, degree):
     verdict = lgv._family_verdict
 
     def recording(steps, weights, profile, gadget_vertices, total_exp):
+        # profile[i] is held across the slices from step i - 1 to step i
         ground = profile[0]
-        t_min = steps[0][0]
-        slices = tuple((t_min + i, h) for i, h in enumerate(profile) if h != ground)
+        slices = tuple(
+            (s, h)
+            for (t, _, _), (u, _, _), h in zip(steps, steps[1:], profile[1:])
+            if h != ground
+            for s in range(t + 1, u + 1)
+        )
         seen.append((total_exp, slices))
         return verdict(steps, weights, profile, gadget_vertices, total_exp)
 
@@ -420,6 +425,14 @@ def test_walker_window_one_step_short_is_caught(monkeypatch):
                     ]
                     sweep_changed |= enumerate_z(spec, degree) != swept
         assert walkers_changed and sweep_changed
+
+
+def test_run_charged_to_its_first_slice_only_fails_the_bijection(monkeypatch):
+    _first_slice_only(monkeypatch, lgv)
+    for spec in RUN_CHAMBERS:
+        verdict = profile_bijection_check(spec, 2, 4)
+        assert not verdict, spec
+        assert verdict.reason == "family weight disagrees with the configuration weight", spec
 
 
 def test_sink_lookahead_changes_no_path_sum(monkeypatch):

@@ -1,6 +1,7 @@
 """Toeplitz-determinant route: symbols, graded inverse, stabilization."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -20,15 +21,17 @@ from crystalmelt import (
     enumerate_z_transposed,
     macmahon,
     macmahon_two_var,
+    path_matrix,
     product_over_k,
     stabilized_toeplitz,
     toeplitz_det,
+    walker_graph,
 )
-from crystalmelt import engines, matrixmodel, series
+from crystalmelt import engines, enumeration, lgv, matrixmodel, series
 from crystalmelt.chambers import row_bound
 from crystalmelt.engines import engine_series
 from crystalmelt.matrixmodel import _divide_linear, _times_linear, _to_symbol
-from oracles import shifted_chamber_data
+from oracles import contiguous_steps, shifted_chamber_data
 
 
 def closed_form_cn(n, cutoff):
@@ -335,6 +338,28 @@ def test_every_route_equals_product_on_every_chamber():
         assert extras["stabilized_at"] == kept_bound(spec, degree), (spec, degree)
 
 
+def test_every_route_equals_the_contiguous_table(monkeypatch):
+    # the steps priced above the degree change no configuration, pair factor
+    # or path sum: over the contiguous table, a period wider on each side
+    # (oracles.contiguous_steps), every route, Toeplitz size and walker
+    # path-matrix entry is the same, on every third chamber of the scan
+    def routes(spec, degree):
+        out = [engine_series(name, spec, degree) for name in ("enumerate", "toeplitz", "lgv")]
+        return out + [path_matrix(walker_graph(spec, engines._walkers(spec, degree), degree))]
+
+    cases = list(scan_sample())[::3]
+    expected = [routes(spec, degree) for spec, degree in cases]
+
+    @lru_cache(maxsize=None)
+    def contiguous(spec, degree):
+        return contiguous_steps(spec, degree, spec.L)
+
+    for module in (engines, enumeration, lgv, matrixmodel):
+        monkeypatch.setattr(module, "potential_steps", contiguous)
+    for (spec, degree), want in zip(cases, expected):
+        assert routes(spec, degree) == want, (spec, degree)
+
+
 def test_swapped_pair_rule_is_caught(monkeypatch):
     # the prefactor with 1 / (1 - x^v) for differing relations and (1 + x^v)
     # for matching ones must disagree with the product somewhere
@@ -367,9 +392,8 @@ def test_one_row_short_toeplitz_size_is_caught(monkeypatch):
 
 
 def test_toeplitz_route_on_a_far_chamber():
-    # theta_2000's table holds thousands of steps priced above the degree,
-    # whose pair factors are 1; the split keeps only the 2D + 1 steps priced
-    # within it
+    # theta_2000's steps priced within the degree lie thousands of slices
+    # apart; the split takes the 2D + 1 of them and nothing in between
     spec = conifold_theta(2000)
     kept, dropped = matrixmodel._split_steps(spec, 4)
     assert len(kept) + len(dropped) == 2 * 4 + 1
