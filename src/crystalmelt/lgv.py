@@ -51,12 +51,11 @@ path sum of walker_graph's path_matrix, term for term.
 
 from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
-from operator import add, itemgetter
 
 from .chambers import chamber_weights, potential_steps, residue_counts
 from .errors import InvalidGraphError, OracleTooLargeError
 from .partitions import interlace_minus, interlace_plus
-from .series import TruncatedSeries, det_division_free
+from .series import TruncatedSeries, _codec, det_division_free
 
 _NEVER = float("inf")
 
@@ -122,6 +121,7 @@ def _least_to_sink(g, order, sinks=None):
     (default: every sink of g), 0 at such a sink and infinite when no path
     reaches one; one backward pass over the topological order."""
     sinks = set(g.sinks if sinks is None else sinks)
+    shift = _codec(g.num_vars, g.cutoff).shift
     least = {}
     for v in reversed(order):
         if v in sinks:
@@ -129,8 +129,9 @@ def _least_to_sink(g, order, sinks=None):
             continue
         best = _NEVER
         for head, weight in g.adjacency.get(v, ()):
-            if weight.terms:
-                best = min(best, min(map(sum, weight.terms)) + least[head])
+            if weight._packed:
+                # the least key has the least degree (series packing lemma (i))
+                best = min(best, (min(weight._packed) >> shift) + least[head])
         least[v] = best
     return least
 
@@ -138,14 +139,18 @@ def _least_to_sink(g, order, sinks=None):
 def path_matrix(g):
     """Entry (i, j) = sum of path weights from source i to sink j.
 
-    ways[v] is the running path sum into v as a plain {exponents: coefficient}
-    dict, complete once the topological order reaches v and then added into
-    each head in place. An edge of weight exactly 1 merges ways[v] into the
-    head unmultiplied; any other edge multiplies by the weight's terms, taken
-    in ascending degree so each term of ways[v] stops at the first product
-    that cannot reach a sink within the cutoff. Only the sink entries become
-    series, through the validating constructor, which also drops coefficients
-    that cancelled.
+    ways[v] is the running path sum into v as a plain {packed key:
+    coefficient} dict in the ring's codec (series module docstring),
+    complete once the topological order reaches v and then added into each
+    head in place. An edge of weight exactly 1 merges ways[v] into the head
+    unmultiplied; any other edge multiplies by the weight's packed terms,
+    taken in ascending key order, which is ascending degree, so each term of
+    ways[v] stops at the first product that cannot reach a sink within the
+    cutoff: by the packing lemma (iii), that is the first weight key at or
+    past ((cutoff - least[head] + 1) << shift) - key, and every product kept
+    is the exact integer sum of the keys. Only the sink entries become
+    series, dropping the coefficients that cancelled; every key at a sink
+    lies within the cutoff (the sink lemma below).
 
     Sink lemma. Let least[v] be the lowest total degree of any path from v to
     a sink (_least_to_sink). Every exponent is non-negative (the clean-terms
@@ -164,17 +169,17 @@ def path_matrix(g):
     order = _topological_order(g)
     least = _least_to_sink(g, order)
     cutoff = g.cutoff
-    unit = {(0,) * g.num_vars: 1}
+    codec = _codec(g.num_vars, cutoff)
+    unit = {0: 1}
 
-    def by_degree(weight):
-        if weight.terms == unit:
-            return None
-        return sorted([(sum(e), e, c) for e, c in weight.terms.items()], key=itemgetter(0))
+    def by_key(weight):
+        return None if weight._packed == unit else sorted(weight._packed.items())
 
-    # (head, weight terms by degree or None for a unit edge, degree budget at head)
+    # (head, weight terms in key order or None for a unit edge, the bound
+    # below which lie the keys within the degree budget at head)
     steps = {
         v: [
-            (head, by_degree(weight), cutoff - least[head])
+            (head, by_key(weight), (cutoff - least[head] + 1) << codec.shift)
             for head, weight in outs
             if least[head] <= cutoff
         ]
@@ -199,13 +204,20 @@ def path_matrix(g):
                 if into is None:
                     into = ways[head] = {}
                 for e, c in wv.items():
-                    room = reach - sum(e)
-                    for dw, ew, cw in weight:
-                        if dw > room:
+                    below = reach - e
+                    for kw, cw in weight:
+                        if kw >= below:
                             break
-                        key = tuple(map(add, e, ew))
+                        key = e + kw
                         into[key] = into.get(key, 0) + c * cw
-        matrix.append([TruncatedSeries(g.num_vars, cutoff, ways.get(b)) for b in g.sinks])
+        matrix.append(
+            [
+                TruncatedSeries._trusted(
+                    g.num_vars, cutoff, {k: c for k, c in ways.get(b, {}).items() if c}
+                )
+                for b in g.sinks
+            ]
+        )
     return matrix
 
 
@@ -351,8 +363,11 @@ def walker_path_matrix(spec, walkers, degree):
     graph (the transfer lemma in the module docstring)."""
     hmax, steps = _walker_table(spec, walkers, degree)
     least = _least_by_step(steps, walkers, hmax)
-    # per step: its exponents and, in sweep order, the moves it makes as
-    # (head, tail, the largest degree a term at the tail may have to move)
+    codec = _codec(spec.L, degree)
+    # per step: its packed exponents and, in sweep order, the moves it makes
+    # as (head, tail, bound): a term at the tail moves iff its key is below
+    # bound, that is iff its degree is within what the move leaves (series
+    # packing lemma (i)), and its sum with the step's key is then exact (ii)
     plan = []
     for i, (_, rule, exps) in enumerate(steps):
         lift = 1 if rule.direction == "ascending" else -1
@@ -360,26 +375,26 @@ def walker_path_matrix(spec, walkers, degree):
         live = _live_table(least, i, rail)
         room = degree - sum(exps)
         moves = [
-            (h, h - lift, room - live[h])
+            (h, h - lift, (room - live[h] + 1) << codec.shift)
             for h in _sweep_order(hmax, lift, rail)
             if 0 <= h - lift <= hmax and live[h] <= room
         ]
-        plan.append((exps, moves))
+        plan.append((codec.pack(exps), moves))
     matrix = []
     for k in range(walkers):
         vec = [{} for _ in range(hmax + 1)]
-        vec[k][(0,) * spec.L] = 1
-        for exps, moves in plan:
-            for head, tail, reach in moves:
+        vec[k][0] = 1
+        for step, moves in plan:
+            for head, tail, below in moves:
                 terms = vec[tail]
                 if not terms:
                     continue
                 into = vec[head]
                 for e, c in terms.items():
-                    if sum(e) <= reach:
-                        key = tuple(map(add, e, exps))
+                    if e < below:
+                        key = e + step
                         into[key] = into.get(key, 0) + c
-        # trusted: each coefficient sums positive terms; every move is cut at reach <= degree
+        # trusted: each coefficient sums positive terms; every key moved stays within the degree
         matrix.append([TruncatedSeries._trusted(spec.L, degree, vec[j]) for j in range(walkers)])
     return matrix
 
@@ -426,14 +441,21 @@ def _walker_graph(L, walkers, degree, hmax, steps):
 
 def _gadget_moves(g, rule, x0, start):
     """All ways one walker crosses the step starting at column x0 from height
-    start, straight from the adjacency lists: (end height, vertices used
-    beyond the start, weight exponent vector). An edge whose weight truncated
-    to zero adds nothing to any path sum, so no move takes it."""
+    start within the cutoff, straight from the adjacency lists: (end height,
+    vertices used beyond the start, packed key of the weight's exponents).
+    An edge whose weight truncated to zero adds nothing to any path sum, so
+    no move takes it. Nor does one past the cutoff: in
+    profile_bijection_check a move from v to w costs its degree plus
+    least_k[w] - least_k[v], and the room it is checked against is at most
+    the degree less least_k[v], so a move of degree above the degree never
+    fits. So every key summed here stays within the cutoff, where the sum is
+    exact (series packing lemma)."""
+    cap = _codec(g.num_vars, g.cutoff).cap
 
     def edges(v):
         for head, w in g.adjacency.get(v, ()):
-            if w.terms:
-                yield head, next(iter(w.terms))
+            if w._packed:
+                yield head, next(iter(w._packed))
 
     out = []
     if rule.relation == "plus":
@@ -447,7 +469,9 @@ def _gadget_moves(g, rule, x0, start):
         while stack:
             v, seen, acc = stack.pop()
             for head, step in edges(v):
-                exps = tuple(a + b for a, b in zip(acc, step))
+                exps = acc + step
+                if exps >= cap:
+                    continue
                 if head[0] == x0 + 2:
                     out.append((head[1], frozenset(seen + [head]), exps))
                 elif head[0] == x0 + 1:
@@ -565,6 +589,7 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     hmax, steps = _walker_table(spec, walkers, degree)
     g = _walker_graph(spec.L, walkers, degree, hmax, steps)
     weights = [w.exponents for w in chamber_weights(spec)]
+    codec = _codec(spec.L, degree)
     order = _topological_order(g)
     least = [_least_to_sink(g, order, (b,)) for b in g.sinks]
     ground = tuple(range(walkers))
@@ -573,13 +598,15 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     failures = []
 
     def advance(i, heights, spent, room, profile, gadget_vertices):
-        # room: the budget less the bound of the lemma at this node
+        # room: the budget less the bound of the lemma at this node, which
+        # keeps spent, the packed exponents so far, within the degree
         nonlocal visited
         visited += 1
         if visited > node_guard:
             raise OracleTooLargeError("bijection sweep exceeded the node guard")
         if i == len(steps):
-            verdict = _family_verdict(steps, weights, profile, gadget_vertices, spent)
+            total_exp = codec.unpack(spent)
+            verdict = _family_verdict(steps, weights, profile, gadget_vertices, total_exp)
             if verdict is not None:
                 failures.append((verdict, profile))
             return
@@ -591,7 +618,7 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
             if got is None:
                 here = least[k][x0, h]
                 got = moves[k, x0, h] = [
-                    (h1, verts, exps, sum(exps) + least[k][x0 + 2, h1] - here)
+                    (h1, verts, exps, (exps >> codec.shift) + least[k][x0 + 2, h1] - here)
                     for h1, verts, exps in _gadget_moves(g, rule, x0, h)
                 ]
             options.append(got)
@@ -601,7 +628,7 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
                 advance(
                     i + 1,
                     tuple(chosen_next),
-                    tuple(map(add, spent, exp_acc)),
+                    spent + exp_acc,
                     room,
                     profile + [tuple(chosen_next)],
                     gadget_vertices + [frozenset(used)],
@@ -610,13 +637,12 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
             for h1, verts, exps, cost in options[k]:
                 if cost > room or used & verts:
                     continue
-                exp_next = tuple(map(add, exp_acc, exps))
-                pick(k + 1, chosen_next + [h1], used | verts, exp_next, room - cost)
+                pick(k + 1, chosen_next + [h1], used | verts, exp_acc + exps, room - cost)
 
-        pick(0, [], frozenset(), (0,) * spec.L, room)
+        pick(0, [], frozenset(), 0, room)
 
     room = degree - sum(least[k][a] for k, a in enumerate(g.sources))
-    advance(0, ground, (0,) * spec.L, room, [ground], [])
+    advance(0, ground, 0, room, [ground], [])
     if failures:
         return _BijectionFailure(failures[0])
     return True

@@ -70,7 +70,7 @@ from typing import NamedTuple
 
 from .chambers import potential_steps
 from .errors import StabilizationFailureError
-from .series import LaurentSymbol, TruncatedSeries, _unit_pivots, binomial_factor
+from .series import LaurentSymbol, TruncatedSeries, _codec, _unit_pivots, binomial_factor
 
 
 class MatrixModelResult(NamedTuple):
@@ -88,18 +88,24 @@ class MatrixModelResult(NamedTuple):
 def _times_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps, sign: int) -> dict:
     """coeffs * (1 + sign * x^exps * z^zpow) as a shift-and-add, clipped to the
     window like the symbol product; coeffs maps each z-power to a plain
-    {exponents: coefficient} dict and is not modified."""
+    {packed key: coefficient} dict in the codec of the ring (len(exps),
+    cutoff) and is not modified. Only a term of degree within
+    cutoff - deg(exps) moves, that is a key below
+    (cutoff - deg(exps) + 1) << shift, and it moves to the key sum, which is
+    exact (series packing lemma); when deg(exps) > cutoff nothing moves."""
+    codec = _codec(len(exps), cutoff)
+    step = codec.pack(exps)
+    below = (cutoff - sum(exps) + 1) << codec.shift
     out = {m: dict(terms) for m, terms in coeffs.items()}
-    room = cutoff - sum(exps)
     for m, terms in coeffs.items():
         p = m + zpow
         if abs(p) > window:
             continue
         into = out.setdefault(p, {})
         for e, c in terms.items():
-            if sum(e) > room:
+            if e >= below:
                 continue
-            key = tuple(map(add, e, exps))
+            key = e + step
             c = into.get(key, 0) + sign * c
             if c:
                 into[key] = c
@@ -116,7 +122,9 @@ def _divide_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps) -> d
     leaves the window. exps must have positive degree (the symbols here are
     strict).
     """
-    room = cutoff - sum(exps)
+    codec = _codec(len(exps), cutoff)
+    step = codec.pack(exps)
+    below = (cutoff - sum(exps) + 1) << codec.shift
     m, last = (min(coeffs), max(coeffs)) if zpow > 0 else (max(coeffs), min(coeffs))
     out = {}
     carry = {}
@@ -130,7 +138,7 @@ def _divide_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps) -> d
                 del g[e]
         if g:
             out[m] = g
-        carry = {tuple(map(add, e, exps)): c for e, c in g.items() if sum(e) <= room}
+        carry = {e + step: c for e, c in g.items() if e < below}
         if not carry and (m - last) * zpow >= 0:
             break
         m += zpow
@@ -138,11 +146,13 @@ def _divide_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps) -> d
 
 
 def _to_symbol(num_vars: int, cutoff: int, window: int, coeffs: dict) -> LaurentSymbol:
+    """The symbol of coeffs in the form of _times_linear, whose dicts are
+    already clean (the series clean-terms invariant)."""
     return LaurentSymbol(
         num_vars,
         cutoff,
         window,
-        {m: TruncatedSeries(num_vars, cutoff, terms) for m, terms in coeffs.items()},
+        {m: TruncatedSeries._trusted(num_vars, cutoff, terms) for m, terms in coeffs.items()},
     )
 
 
@@ -169,7 +179,7 @@ def chamber_symbol(spec, degree: int) -> LaurentSymbol:
     descending ones, and the lax (1 + z) of a* last (module docstring)."""
     kept, _ = _split_steps(spec, degree)
     window = degree + 1
-    f = {0: {(0,) * spec.L: 1}}
+    f = {0: {0: 1}}
     for _, rule, e in kept:
         if sum(e) == 0:
             continue

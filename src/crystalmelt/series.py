@@ -11,35 +11,133 @@ pivot to the division-free Berkowitz recursion. The same elimination
 (_unit_pivots) serves det_division_free and the Toeplitz size certificate
 (matrixmodel.stabilized_toeplitz).
 
-Clean-terms invariant: a series stores only exponent tuples of length
-num_vars with non-negative entries and total degree <= cutoff, each with a
-non-zero coefficient. The public constructor validates and normalises its
-input to that form. Every ring operation (+, -, unary -, *, **, invert,
-truncate, binomial_factor) combines terms that are already clean,
-keeps only keys within the cutoff and drops coefficients that cancel, so it
-builds its result with the private TruncatedSeries._trusted, which stores the
-dict as given without checking it again.
+Packed keys. A series stores each monomial q^e of its ring (L variables,
+cutoff D) as one integer, its key
+
+    key(e) = deg(e) << shift | sum_i e_i << (i * width),
+
+with width = max(1, D.bit_length()) bits per exponent field and
+shift = width * L (the packed exponent vectors of Monagan and Pearce). The
+codec is derived from the ring (_codec), so every series of one ring shares
+it. A monomial of the ring has every e_i <= deg(e) <= D < 2^width, so each
+field holds its exponent exactly and _Codec.unpack inverts the packing.
+
+Packing lemma. (i) Every key satisfies deg(e) << shift <= key(e) <
+(deg(e) + 1) << shift, so keys sort by degree first, and deg(e) <= r exactly
+when key(e) < (r + 1) << shift. (ii) If deg a + deg b <= D, then
+key(a) + key(b) = key(a + b). (iii) For r <= D, key(a) + key(b) <
+(r + 1) << shift exactly when deg a + deg b <= r. Proof: (i) the low part
+sum_i e_i << (i * width) is below 2^shift. (ii) Each field sum a_i + b_i is
+at most deg a + deg b <= D < 2^width, so no field carries into the next or
+into the degree field, and the degree fields add to deg(a + b).
+(iii) When deg a + deg b <= r, (ii) and (i) give the sum
+key(a + b) < (r + 1) << shift; otherwise (i) bounds the sum below by
+(deg a + deg b) << shift >= (r + 1) << shift. So a product keeps the pair
+(a, b) by one compare, key(a) < ((D + 1) << shift) - key(b), and its key is
+the integer sum; a degree test on one key is one compare by (i).
+
+Clean-terms invariant: a series stores only keys of monomials of its ring
+(exponent tuples of length num_vars with non-negative entries and total
+degree <= cutoff, packed by the ring's codec), each with a non-zero
+coefficient. The public constructor validates and normalises its input to
+that form. Every ring operation (+, -, unary -, *, **, invert, truncate,
+binomial_factor) combines keys that are already clean, keeps only sums
+within the cutoff, where the lemma makes them exact, and drops coefficients
+that cancel, so it builds its result with the private
+TruncatedSeries._trusted, which stores the dict as given without checking it
+again. The public terms attribute reads the same terms as {exponent tuple:
+coefficient}, decoded as they are read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import lru_cache
 from math import comb
-from operator import add, itemgetter
 
 from .errors import DimensionError, NonTerminatingProductError, NotInvertibleError
 
-_first = itemgetter(0)
+
+class _Codec:
+    """The packing of the monomials of one ring (num_vars, cutoff) into keys
+    (module docstring)."""
+
+    __slots__ = ("num_vars", "cutoff", "width", "shift", "cap")
+
+    def __init__(self, num_vars: int, cutoff: int, width: int):
+        self.num_vars = num_vars
+        self.cutoff = cutoff
+        self.width = width
+        self.shift = width * num_vars
+        self.cap = (cutoff + 1) << self.shift  # the keys within the cutoff lie below
+
+    def pack(self, exps) -> int:
+        """The key of an exponent tuple of the ring (degree <= cutoff)."""
+        key = sum(exps)
+        for e in reversed(exps):
+            key = key << self.width | e
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        width = self.width
+        mask = (1 << width) - 1
+        return tuple(key >> (i * width) & mask for i in range(self.num_vars))
+
+    def key(self, exps):
+        """The key of exps, or None when exps is no monomial of the ring: a
+        wrong length, a negative entry or a degree past the cutoff."""
+        exps = tuple(exps)
+        if len(exps) != self.num_vars or min(exps) < 0 or sum(exps) > self.cutoff:
+            return None
+        return self.pack(exps)
+
+
+@lru_cache(maxsize=None)
+def _codec(num_vars: int, cutoff: int) -> _Codec:
+    return _Codec(num_vars, cutoff, max(1, cutoff.bit_length()))
+
+
+class _Terms(Mapping):
+    """A series' terms as {exponent tuple: coefficient}, decoded from its
+    packed keys as they are read; len() counts the keys without decoding."""
+
+    __slots__ = ("_codec", "_packed")
+
+    def __init__(self, codec: _Codec, packed: dict):
+        self._codec = codec
+        self._packed = packed
+
+    def __len__(self):
+        return len(self._packed)
+
+    def __iter__(self):
+        return map(self._codec.unpack, self._packed)
+
+    def __getitem__(self, exps):
+        key = self._codec.key(exps)
+        if key is None or key not in self._packed:
+            raise KeyError(exps)
+        return self._packed[key]
+
+    def items(self):
+        """The items of a decoded copy, each key decoded once."""
+        packed = self._packed
+        return dict(zip(map(self._codec.unpack, packed), packed.values())).items()
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 class TruncatedSeries:
     """Multivariate power series truncated at a fixed total degree.
 
-    Terms are stored sparsely as {exponent tuple: coefficient}; zero
-    coefficients and terms beyond the cutoff are never stored. Instances are
-    treated as immutable values: no method mutates self.
+    Terms are stored sparsely as {packed key: coefficient} (module
+    docstring); zero coefficients and terms beyond the cutoff are never
+    stored. terms is the {exponent tuple: coefficient} view of them.
+    Instances are treated as immutable values: no method mutates self.
     """
 
-    __slots__ = ("num_vars", "cutoff", "terms")
+    __slots__ = ("num_vars", "cutoff", "_codec", "_packed")
 
     def __init__(self, num_vars: int, cutoff: int, terms=None):
         if num_vars < 1:
@@ -48,6 +146,7 @@ class TruncatedSeries:
             raise ValueError("cutoff must be >= 0")
         self.num_vars = num_vars
         self.cutoff = cutoff
+        self._codec = codec = _codec(num_vars, cutoff)
         clean = {}
         for exps, coef in (terms or {}).items():
             exps = tuple(exps)
@@ -56,17 +155,24 @@ class TruncatedSeries:
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             if coef and sum(exps) <= cutoff:
-                clean[exps] = clean.get(exps, 0) + coef
-        self.terms = {e: c for e, c in clean.items() if c}
+                key = codec.pack(exps)
+                clean[key] = clean.get(key, 0) + coef
+        self._packed = {k: c for k, c in clean.items() if c}
 
     @classmethod
-    def _trusted(cls, num_vars: int, cutoff: int, terms: dict) -> "TruncatedSeries":
-        """Wrap terms that already satisfy the clean-terms invariant, unchecked."""
+    def _trusted(cls, num_vars: int, cutoff: int, packed: dict) -> "TruncatedSeries":
+        """Wrap packed terms that already satisfy the clean-terms invariant,
+        unchecked."""
         series = object.__new__(cls)
         series.num_vars = num_vars
         series.cutoff = cutoff
-        series.terms = terms
+        series._codec = _codec(num_vars, cutoff)
+        series._packed = packed
         return series
+
+    @property
+    def terms(self) -> Mapping:
+        return _Terms(self._codec, self._packed)
 
     # -- constructors ---------------------------------------------------
 
@@ -84,7 +190,7 @@ class TruncatedSeries:
         return cls(num_vars, cutoff, {tuple(exps): coef})
 
     def one_like(self) -> "TruncatedSeries":
-        return TruncatedSeries._trusted(self.num_vars, self.cutoff, {(0,) * self.num_vars: 1})
+        return TruncatedSeries._trusted(self.num_vars, self.cutoff, {0: 1})
 
     def zero_like(self) -> "TruncatedSeries":
         return TruncatedSeries._trusted(self.num_vars, self.cutoff, {})
@@ -102,53 +208,54 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            c += terms.get(e, 0)
+        terms = dict(self._packed)
+        for k, c in other._packed.items():
+            c += terms.get(k, 0)
             if c:
-                terms[e] = c
+                terms[k] = c
             else:
-                del terms[e]
+                del terms[k]
         return TruncatedSeries._trusted(self.num_vars, self.cutoff, terms)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            c = terms.get(e, 0) - c
+        terms = dict(self._packed)
+        for k, c in other._packed.items():
+            c = terms.get(k, 0) - c
             if c:
-                terms[e] = c
+                terms[k] = c
             else:
-                del terms[e]
+                del terms[k]
         return TruncatedSeries._trusted(self.num_vars, self.cutoff, terms)
 
     def __neg__(self):
         return TruncatedSeries._trusted(
-            self.num_vars, self.cutoff, {e: -c for e, c in self.terms.items()}
+            self.num_vars, self.cutoff, {k: -c for k, c in self._packed.items()}
         )
 
     def __mul__(self, other):
         if isinstance(other, int):
-            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            terms = {k: c * other for k, c in self._packed.items()} if other else {}
             return TruncatedSeries._trusted(self.num_vars, self.cutoff, terms)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        cutoff = self.cutoff
+        cap = self._codec.cap
         out: dict = {}
-        # ascending degree, so each inner loop stops at its first overflow
-        a_items = sorted([(sum(e), e, c) for e, c in self.terms.items()], key=_first)
-        for eb, cb in other.terms.items():
-            room = cutoff - sum(eb)
-            for da, ea, ca in a_items:
-                if da > room:
+        # ascending keys, so ascending degree: each inner loop stops at its
+        # first pair past the cutoff (packing lemma (iii))
+        a_items = sorted(self._packed.items())
+        for kb, cb in other._packed.items():
+            below = cap - kb
+            for ka, ca in a_items:
+                if ka >= below:
                     break
-                key = tuple(map(add, ea, eb))
+                key = ka + kb
                 out[key] = out.get(key, 0) + ca * cb
         return TruncatedSeries._trusted(
-            self.num_vars, cutoff, {e: c for e, c in out.items() if c}
+            self.num_vars, self.cutoff, {k: c for k, c in out.items() if c}
         )
 
     __rmul__ = __mul__
@@ -171,37 +278,45 @@ class TruncatedSeries:
             isinstance(other, TruncatedSeries)
             and self.num_vars == other.num_vars
             and self.cutoff == other.cutoff
-            and self.terms == other.terms
+            and self._packed == other._packed
         )
 
     __hash__ = None  # value type, but terms dict is unhashable
 
     def __repr__(self):
-        n = len(self.terms)
+        n = len(self._packed)
         return f"TruncatedSeries({self.num_vars} vars, cutoff {self.cutoff}, {n} terms)"
 
     # -- queries and derived series ---------------------------------------
 
     def coefficient(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
+        """The coefficient of q^exps; 0 for any tuple that is no monomial of
+        the ring."""
+        key = self._codec.key(exps)
+        return 0 if key is None else self._packed.get(key, 0)
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * self.num_vars, 0)
+        return self._packed.get(0, 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def min_nonconstant_degree(self):
         """Lowest total degree among non-constant terms, or None."""
-        degrees = [sum(e) for e in self.terms if any(e)]
-        return min(degrees) if degrees else None
+        low = min((k for k in self._packed if k), default=None)
+        return None if low is None else low >> self._codec.shift
 
     def truncate(self, cutoff: int) -> "TruncatedSeries":
         if cutoff > self.cutoff:
             raise ValueError("cannot extend a truncated series")
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= cutoff}
+        below = (cutoff + 1) << self._codec.shift
+        terms = {k: c for k, c in self._packed.items() if k < below}
+        codec = _codec(self.num_vars, cutoff)
+        if codec.width != self._codec.width:
+            unpack = self._codec.unpack
+            terms = {codec.pack(unpack(k)): c for k, c in terms.items()}
         return TruncatedSeries._trusted(self.num_vars, cutoff, terms)
 
     def invert(self) -> "TruncatedSeries":
@@ -209,23 +324,22 @@ class TruncatedSeries:
         c0 = self.constant_term()
         if c0 not in (1, -1):
             raise NotInvertibleError(f"constant term {c0} is not a unit")
-        # b_d = -c0 * sum_{e=1..d} a_e b_{d-e}, graded by total degree
+        # b_d = -c0 * sum_{e=1..d} a_e b_{d-e}, graded by total degree; every
+        # key pair summed has degree d <= cutoff, so its sum is exact
+        shift = self._codec.shift
         by_degree: dict = {}
-        for e, c in self.terms.items():
-            by_degree.setdefault(sum(e), {})[e] = c
-        inv_parts: dict = {0: {(0,) * self.num_vars: c0}}
+        for k, c in self._packed.items():
+            by_degree.setdefault(k >> shift, []).append((k, c))
+        inv_parts = [{0: c0}]
         for d in range(1, self.cutoff + 1):
             acc: dict = {}
             for e in range(1, d + 1):
-                a_e = by_degree.get(e)
-                if not a_e:
-                    continue
-                for ea, ca in a_e.items():
-                    for eb, cb in inv_parts.get(d - e, {}).items():
-                        key = tuple(map(add, ea, eb))
+                for ka, ca in by_degree.get(e, ()):
+                    for kb, cb in inv_parts[d - e].items():
+                        key = ka + kb
                         acc[key] = acc.get(key, 0) + ca * cb
-            inv_parts[d] = {e: -c0 * c for e, c in acc.items() if c}
-        terms = {e: c for part in inv_parts.values() for e, c in part.items()}
+            inv_parts.append({k: -c0 * c for k, c in acc.items() if c})
+        terms = {k: c for part in inv_parts for k, c in part.items()}
         return TruncatedSeries._trusted(self.num_vars, self.cutoff, terms)
 
 
@@ -247,6 +361,8 @@ def binomial_factor(num_vars: int, cutoff: int, exps, exponent: int, sign: int =
         raise ValueError(f"negative exponent in {exps}")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
+    # key(j * exps) = j * key(exps) while j * deg <= cutoff (packing lemma (ii))
+    step = _codec(num_vars, cutoff).pack(exps) if deg <= cutoff else 0
     terms = {}
     j = 0
     while j * deg <= cutoff:
@@ -256,7 +372,7 @@ def binomial_factor(num_vars: int, cutoff: int, exps, exponent: int, sign: int =
             c = comb(exponent, j)
         else:
             c = comb(-exponent + j - 1, j) * (-1) ** j
-        terms[tuple(j * e for e in exps)] = c * sign**j
+        terms[j * step] = c * sign**j
         j += 1
     # every binomial coefficient kept here is non-zero and within the cutoff
     return TruncatedSeries._trusted(num_vars, cutoff, terms)

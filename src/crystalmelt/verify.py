@@ -50,6 +50,8 @@ DEFAULT_SEED = 1729
 
 def _series_mismatches(lhs, rhs, limit=5, **tags):
     """First few coefficient disagreements between two series, as dicts."""
+    if lhs == rhs:  # equal series compare their packed terms, decoding none
+        return []
     out = []
     for exps in sorted(set(lhs.terms) | set(rhs.terms)):
         a = lhs.terms.get(exps, 0)

@@ -189,3 +189,35 @@ def read_series_json(data):
             raise ValueError("exponent arity disagrees with the vars list")
         terms[exp] = int(term["coef"])
     return num_vars, int(data["cutoff"]), terms
+
+
+def tuple_mul(a, b, cutoff):
+    """The product of two {exponent tuple: coefficient} dicts truncated at
+    total degree cutoff, summed pair by pair on the exponent tuples; the
+    coefficients that cancel are dropped."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if sum(ea) + sum(eb) <= cutoff:
+                key = tuple(x + y for x, y in zip(ea, eb))
+                out[key] = out.get(key, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_invert(terms, num_vars, cutoff):
+    """The inverse of a {exponent tuple: coefficient} dict with constant term
+    c0 = +-1, truncated at total degree cutoff, built degree by degree from
+    b_d = -c0 * sum_{e=1..d} a_e b_{d-e}."""
+    c0 = terms[(0,) * num_vars]
+    assert c0 in (1, -1)
+    parts = [{(0,) * num_vars: c0}]
+    for d in range(1, cutoff + 1):
+        acc = {}
+        for ea, ca in terms.items():
+            e = sum(ea)
+            if 1 <= e <= d:
+                for eb, cb in parts[d - e].items():
+                    key = tuple(x + y for x, y in zip(ea, eb))
+                    acc[key] = acc.get(key, 0) + ca * cb
+        parts.append({k: -c0 * c for k, c in acc.items() if c})
+    return {k: c for part in parts for k, c in part.items()}

@@ -173,7 +173,7 @@ def test_divide_linear_undoes_the_linear_factor():
     for _ in range(40):
         d = rng.randint(0, 8)
         w = d + 1
-        f = {0: {(0, 0): 1}}
+        f = {0: {0: 1}}  # the constant 1, as packed keys
         for _ in range(rng.randint(0, 4)):
             exps = (rng.randint(0, 2), rng.randint(1, 2))
             f = _times_linear(f, d, w, rng.choice([-1, 1]), exps, rng.choice([-1, 1]))

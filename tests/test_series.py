@@ -1,5 +1,6 @@
 """Ring-level checks for truncated series, Laurent symbols, and determinants."""
 
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from crystalmelt import (
 )
 from crystalmelt import series as series_module
 from crystalmelt.series import _berkowitz
+from oracles import tuple_invert, tuple_mul
 
 
 def random_series(rng, num_vars, cutoff, max_terms=6, unit=False):
@@ -366,3 +368,189 @@ def test_toeplitz_det_reflection_gives_the_transpose():
         reflected = LaurentSymbol(1, 3, 5, {-m: s for m, s in coeffs.items()})
         n = rng.randint(1, 4)
         assert toeplitz_det(f, n) == toeplitz_det(reflected, n)
+
+
+# -- packed keys against the tuple-key oracle ---------------------------------
+
+# L = 1-6 at every cutoff 0-17, which spans the field-width boundaries 1/2,
+# 3/4, 7/8 and 15/16 (the last cutoffs of 1-4 bits and the first of 2-5)
+KERNEL_RINGS = [(L, D) for L in range(1, 7) for D in range(18)]
+
+
+def random_monomial(rng, num_vars, degree):
+    """An exponent tuple of the given total degree, spread at random."""
+    exps = [0] * num_vars
+    for _ in range(degree):
+        exps[rng.randrange(num_vars)] += 1
+    return tuple(exps)
+
+
+def kernel_series(rng, num_vars, cutoff, unit=False):
+    """Random {exponent tuple: coefficient} dict of the ring, often holding a
+    single-variable power at the cutoff, which fills its whole field."""
+    terms = {}
+    for _ in range(rng.randint(0, 7)):
+        e = random_monomial(rng, num_vars, rng.randint(0, cutoff))
+        terms[e] = rng.randint(-3, 3)
+    if rng.random() < 0.5:
+        e = [0] * num_vars
+        e[rng.randrange(num_vars)] = cutoff
+        terms[tuple(e)] = rng.choice((-1, 1))
+    if unit:
+        terms[(0,) * num_vars] = rng.choice((-1, 1))
+    return {e: c for e, c in terms.items() if c}
+
+
+def oracle_pow(terms, k, num_vars, cutoff):
+    out = {(0,) * num_vars: 1}
+    for _ in range(k):
+        out = tuple_mul(out, terms, cutoff)
+    return out
+
+
+def oracle_sum(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def kernel_mismatches(seed):
+    """Every ring operation on seeded random series of KERNEL_RINGS against
+    the tuple-key oracle: the operations whose terms differ, by name."""
+    rng = random.Random(seed)
+    bad = []
+
+    def check(name, series, expected):
+        # two keys decoding to one tuple would shorten the decoded dict
+        if dict(series.terms.items()) != expected or len(series.terms) != len(expected):
+            bad.append((name, series.num_vars, series.cutoff))
+
+    for L, D in KERNEL_RINGS:
+        for _ in range(4):
+            a, b = kernel_series(rng, L, D), kernel_series(rng, L, D)
+            u = kernel_series(rng, L, D, unit=True)
+            sa, sb, su = (TruncatedSeries(L, D, t) for t in (a, b, u))
+            check("*", sa * sb, tuple_mul(a, b, D))
+            check("+", sa + sb, oracle_sum(a, b))
+            check("-", sa - sb, oracle_sum(a, b, -1))
+            k = rng.randint(0, 3)
+            check("**", sa**k, oracle_pow(a, k, L, D))
+            inverse = tuple_invert(u, L, D)
+            check("invert", su.invert(), inverse)
+            check("** -", su**-2, oracle_pow(inverse, 2, L, D))
+            d = rng.randint(0, D)
+            check("truncate", sa.truncate(d), {e: c for e, c in a.items() if sum(e) <= d})
+            exps = random_monomial(rng, L, rng.randint(1, D + 1))
+            n, sign = rng.randint(-3, 3), rng.choice((1, -1))
+            base = {(0,) * L: 1, exps: sign} if sum(exps) <= D else {(0,) * L: 1}
+            expected = oracle_pow(base if n >= 0 else tuple_invert(base, L, D), abs(n), L, D)
+            check("binomial_factor", binomial_factor(L, D, exps, n, sign=sign), expected)
+            for e in list(a) + [random_monomial(rng, L, rng.randint(0, D))]:
+                if sa.coefficient(e) != a.get(e, 0):
+                    bad.append(("coefficient", L, D))
+    return bad
+
+
+def test_packed_kernel_matches_the_tuple_oracle():
+    for seed in (1, 2):
+        assert kernel_mismatches(seed) == [], seed
+
+
+def test_codec_one_bit_short_is_caught(monkeypatch):
+    # one bit less per field lets an exponent of the cutoff carry into the
+    # next field; the differential check must see it
+    monkeypatch.setattr(
+        series_module,
+        "_codec",
+        lambda L, D: series_module._Codec(L, D, max(1, D.bit_length() - 1)),
+    )
+    assert kernel_mismatches(1)
+
+
+def test_codec_round_trip_addition_and_order():
+    rng = random.Random(2718)
+    for L, D in KERNEL_RINGS + [(10, 100)]:
+        codec = series_module._codec(L, D)
+        monomials = [random_monomial(rng, L, rng.randint(0, D)) for _ in range(30)]
+        monomials += [tuple(D if i == j else 0 for i in range(L)) for j in range(L)]
+        keys = [codec.pack(e) for e in monomials]
+        for e, k in zip(monomials, keys):
+            assert codec.unpack(k) == e
+            assert codec.key(e) == k
+            # keys sort by degree first: the degree-d keys lie in [d, d + 1) << shift
+            assert sum(e) << codec.shift <= k < (sum(e) + 1) << codec.shift
+        for ea, ka in zip(monomials, keys):
+            for eb, kb in zip(monomials[:8], keys[:8]):
+                total = sum(ea) + sum(eb)
+                assert (ka + kb < codec.cap) == (total <= D)
+                if total <= D:
+                    assert ka + kb == codec.pack(tuple(x + y for x, y in zip(ea, eb)))
+
+
+def test_keys_past_two_to_the_62_work():
+    rng = random.Random(62)
+    L, D = 10, 100
+    a = {random_monomial(rng, L, rng.randint(0, D)): rng.randint(1, 5) for _ in range(12)}
+    a[(0,) * (L - 1) + (D,)] = 1
+    u = dict(a)
+    u[(0,) * L] = 1
+    sa, su = TruncatedSeries(L, D, a), TruncatedSeries(L, D, u)
+    assert max(sa._packed) > 2**62
+    assert dict((sa * sa).terms.items()) == tuple_mul(a, a, D)
+    assert dict(su.invert().terms.items()) == tuple_invert(u, L, D)
+    assert su * su.invert() == TruncatedSeries.one(L, D)
+    assert dict(sa.terms.items()) == a
+
+
+def test_truncate_across_a_width_change_equals_the_constructor():
+    rng = random.Random(1615)
+    for L in range(1, 5):
+        for high, low in ((16, 15), (8, 7), (16, 7), (2, 1)):
+            assert series_module._codec(L, high).width != series_module._codec(L, low).width
+            for _ in range(6):
+                a = kernel_series(rng, L, high)
+                got = TruncatedSeries(L, high, a).truncate(low)
+                assert got == TruncatedSeries(L, low, a)
+                assert dict(got.terms.items()) == {e: c for e, c in a.items() if sum(e) <= low}
+
+
+def test_coefficient_of_a_tuple_outside_the_ring_is_zero():
+    # every monomial of the ring gets its own non-zero coefficient, so a
+    # tuple packing onto another monomial's key would read that coefficient
+    for L, D in ((1, 7), (2, 8), (3, 3)):
+        codec = series_module._codec(L, D)
+        dense = {}
+        for d in range(D + 1):
+            for e in itertools.product(range(d + 1), repeat=L):
+                if sum(e) == d:
+                    dense[e] = len(dense) + 1
+        f = TruncatedSeries(L, D, dense)
+        assert all(f.coefficient(e) == c for e, c in dense.items())
+        full = 1 << codec.width
+        outside = [
+            (0,) * (L + 1),
+            (1,) * (L + 1),
+            (0,) * (L - 1),
+            (-1,) + (1,) * (L - 1),
+            (-full,) + (1,) * (L - 1),
+            (D + 1,) + (0,) * (L - 1),
+            (full,) + (0,) * (L - 1),
+            (D,) * L if L > 1 else (D, 0),
+            (0,) * (L - 1) + (2 * D,),
+        ]
+        for e in outside:
+            assert f.coefficient(e) == 0, e
+            assert e not in f.terms and f.terms.get(e) is None, e
+
+
+def test_term_view_length_reads_no_key():
+    f = TruncatedSeries(2, 16, {(16, 0): 1, (3, 4): -2, (0, 0): 5})
+
+    class Boom(series_module._Codec):
+        def unpack(self, key):
+            raise AssertionError("len() decoded a key")
+
+    view = f.terms
+    view._codec = Boom(2, 16, 5)
+    assert len(view) == 3
