@@ -1,42 +1,52 @@
-"""Direct enumeration of chamber configurations by a slice-sweep DP.
+"""Direct enumeration of chamber configurations by a one-pass slice sweep.
 
 A configuration is a bi-infinite partition sequence, empty at both ends,
 obeying the chamber's interlacing rule at every step. The sweep walks the
 steps of the potential step table (chambers.potential_steps), the 2D + 1
-steps priced within the degree D, in three stages. It first walks the
-partitions alone under the degree and records the kept steps between them;
-then it bounds, per partition, the degree still to come; last it runs a
-frontier of states (current partition, boxes spent per run vector, degree
-so far) with multiplicity counts over the recorded steps only.
+steps priced within the degree D, once, with a frontier of states (current
+partition, monomial paid so far) and multiplicity counts.
 
 Runs: the table's lemma proves that a configuration of degree <= D changes
 across no other step, so it is empty before the table's first step and after
 its last, and the slices from one table step to the next, a run, all hold
-one partition. The sweep moves from run to run; a run's vector counts its
-slices per class mod L, and a box held across the run weighs that vector
-times the slice weights (chamber_weights). Stage 3 keeps one counter per
-distinct run vector, so a move adds its boxes to a single counter, and the
-result maps each counter to its monomial at the end (_class_counts_to_terms).
-No slice between two table steps is visited, so the sweep's work does not
-grow with the chamber.
+one partition. The sweep moves from run to run. No slice between two table
+steps is visited, so the sweep's work does not grow with the chamber.
 
-Potential: step t costs e_t, the degree of the table's exponent vector, per
-box it adds or removes. The table's lemma proves that every e_t is >= 0 and
-that a configuration's degree is the potential it pays step by step,
+Potential: step t costs e_t, the table's exponent vector, per box it adds or
+removes. The table's lemma proves that every e_t is >= 0 componentwise and,
+by summation by parts, that a configuration's monomial is the potential it
+pays step by step,
 
-    sum_t W_t |lam_t| = sum_t e_t ||lam_{t+1}| - |lam_t||,
+    sum_s w_s |lam_s| = sum_t e_t ||lam_{t+1}| - |lam_t||,
 
-where W_t is the total degree of the weight of slice t's class, so also
-sum over the runs r of W_r |lam_r| with W_r the total degree of run r's
-monomial. The first stage carries the least potential
-paid(mu) over the recorded histories of each partition, and records the step
-mu -> nu at t when paid(mu) + e_t ||nu| - |mu|| + ahead(t, nu) <= D, with
-ahead the lower bound below on the potential every continuation of nu still
-pays. By induction over t every step of a configuration of degree <= D is
-recorded: its history's steps are, so paid(mu) is at most what that history
-paid, and the test passes on its degree. A step is dropped only when no
-configuration through it has degree <= D, so the result is the same as
-without the test.
+with w_s the weight of slice s's class (chamber_weights). So every partial
+sum is componentwise at most the final monomial. Below, e_t in a sum of
+degrees stands for deg e_t.
+
+Packed counts: the frontier maps each partition to {key: count}, with key the
+packed key of a state's monomial so far in the codec of the result's ring
+(series._codec(L, D)), and the final counts are the result's terms as they
+stand. A move mu -> nu at step t moves d = ||nu| - |mu|| boxes and adds d e_t
+to the monomial a. The proof of the series packing lemma holds for key(a) +
+d key(e_t) as it stands: its degree fields add up to deg a + d e_t and its
+exponent fields to the entries of a + d e_t, each at most that degree. So
+when deg a + d e_t <= r <= D no field carries, (ii) the sum is
+key(a + d e_t) and (iii) it lies below (r + 1) << shift; otherwise its degree
+part alone reaches (r + 1) << shift. By (i), paid(mu) = min(keys) >> shift is
+the least degree paid by a state at mu.
+
+The sweep keeps the state (mu, key) through nu when deg a + e_t d +
+ahead(t, nu) <= D, with ahead the lower bound below on the potential every
+continuation of nu still pays. That is one compare,
+key < ((D - ahead + 1) << shift) - d key(e_t). The sweep skips the move
+outright when paid(mu) + e_t d + ahead(t, nu) > D, as no state at mu passes
+then (and ahead may be infinite). The closing step, out of the last run onto
+the empty partition, adds |mu| key(e_t) under the same compare with ahead 0.
+By induction over t every state of a configuration of degree <= D is kept:
+the potential still to pay is at least ahead, and the degree paid plus it is
+the configuration's degree. Every state that closes is a configuration with
+its exact monomial, so the counts are exactly those of the configurations of
+degree <= D: the prune changes no result.
 
 Lookahead: every step has a componentwise-least successor of mu. Ascending,
 both relations only add boxes, so it is mu itself; descending "+" drops one box
@@ -67,27 +77,14 @@ contains mu, so the sweep skips mu when paid(mu) + ahead(t, mu) > D, and
 m |nu| caps the successors generated: (e_t + m) |nu| <= D - paid(mu) +
 e_t |mu|, where e_t + m >= 1 by the table's lemma. With no descending step
 after t nothing but the empty partition closes, and nothing grows.
-
-Degree lookahead: a configuration's monomial has total degree sum_r W_r
-|lam_r| over its runs, and it is kept only when that sum is at most D. One
-backward min-plus pass over the recorded steps gives least_degree(r, nu): the
-least sum_{r' > r} W_r' |lam_r'| over recorded paths from nu to a closing
-partition, infinite if none. The graph records every step of every
-configuration of degree <= D, so a minimum over a superset of the real
-continuations is a lower bound on the degree any continuation still adds. So a
-state whose degree so far plus W_r |nu| plus least_degree(r, nu) exceeds D has
-no completion of degree <= D, and dropping it removes only configurations that
-the final degree filter would drop anyway: the result is the same as without
-the bound.
 """
 
 from functools import lru_cache
 from itertools import groupby, product
-from operator import mul
 
-from .chambers import chamber_weights, potential_steps, residue_counts
+from .chambers import potential_steps
 from .partitions import interlace_minus, interlace_plus
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _codec
 
 # least-successor maps of one step (module docstring); _NEVER: cannot close
 _KEEP, _DROP, _SHIFT = 0, 1, 2
@@ -214,24 +211,6 @@ def _closes(rule, mu):
     return rel((), mu) if rule.direction == "ascending" else rel(mu, ())
 
 
-def _least_degree(graph, weights, ends):
-    """least[i][nu]: the least sum of weights[t] * |lam_t| over t > i along the
-    recorded paths from nu at position i to a closing partition (infinite if
-    none). graph[i] maps each partition at position i - 1 to its recorded edges
-    (nu, boxes) into position i; ends holds the bounds of the last
-    position. One backward min-plus pass (module docstring).
-    """
-    least = [None] * len(graph)
-    least[-1] = ends
-    for i in range(len(graph) - 1, 0, -1):
-        w, after = weights[i], least[i]
-        least[i - 1] = {
-            mu: min((w * boxes + after[nu] for nu, boxes in edges), default=_NEVER)
-            for mu, edges in graph[i].items()
-        }
-    return least
-
-
 def _cheapest_drops(rules, pot):
     """c[j]: the least pot over the descending steps from step j on, and
     infinite past the last of them, with one entry more than rules for the
@@ -243,34 +222,41 @@ def _cheapest_drops(rules, pot):
     return c
 
 
-def _partition_graph(rules, pot, degree, max_rows):
-    """Stage 1: the partition graph under the degree, carrying per partition
-    only the least potential paid over its recorded histories (module
-    docstring). rules[i] is table step i, the step into run i, and pot[i]
-    its potential cost. Returns (graph, paid): graph[i] maps each partition
-    of run i - 1 to its recorded edges (nu, boxes) into run i, and paid maps
-    the partitions of the last run to their least potential paid."""
+def _sweep(spec, degree, transposed, max_rows):
+    """The configurations of degree <= degree counted by their monomials, as
+    {packed key of the ring (spec.L, degree): number of configurations}, in
+    one pass over the potential step table (module docstring)."""
+    table = potential_steps(spec, degree)
+    rules = [rule.flipped() if transposed else rule for _, rule, _ in table]
+    pot = [sum(e) for _, _, e in table]
+    codec = _codec(spec.L, degree)
+    shift = codec.shift
+    keys = [codec.pack(e) for _, _, e in table]
     c = _cheapest_drops(rules, pot)
     # steps[j] leaves run j; the last one is the table's last step
     steps = [(_least_step(rule), cost) for rule, cost in zip(rules[1:], c[1:])]
     memo = {}
-    graph = []
-    paid = {(): 0}
-    for i, rule in enumerate(rules[:-1]):
+    last = len(rules) - 1
+    # each partition of the current run -> {key of the monomial paid so far: count}
+    frontier = {(): {0: 1}}
+    for i, rule in enumerate(rules):
         plus = rule.relation == "plus"
-        e, m = pot[i], c[i + 1]
-        edges_of = {}
+        e, m, key_e = pot[i], c[i + 1], keys[i]
         new = {}
         looked = {}  # successor -> (its boxes, the least potential it still pays)
-        for mu, least_paid in paid.items():
+        for mu, counts in frontier.items():
             size = sum(mu)
-            edges = edges_of[mu] = []
-            if rule.direction == "ascending":
+            paid = min(counts) >> shift  # the least degree paid at mu
+            if i == last:
+                # the table's last step must land on the empty partition; the
+                # lookahead already ensures it, this keeps the sum right for any bound
+                succs = [()] if _closes(rule, mu) else []
+            elif rule.direction == "ascending":
                 # every successor contains mu, so it pays at least mu's lookahead
-                if least_paid + _least_ahead(steps, i, mu, memo) > degree:
+                if paid + _least_ahead(steps, i, mu, memo) > degree:
                     continue
                 # (e + m) |nu| <= degree - paid + e |mu|; with no drop ahead, nothing grows
-                cap = (degree - least_paid + e * size) // (e + m) if m < _NEVER else 0
+                cap = (degree - paid + e * size) // (e + m) if m < _NEVER else 0
                 succs = _succ_grow_plus(mu, cap) if plus else _succ_grow_minus(mu, cap)
             else:
                 succs = _succ_shrink_plus(mu) if plus else _succ_shrink_minus(mu)
@@ -281,105 +267,26 @@ def _partition_graph(rules, pot, degree, max_rows):
                 if sized is None:
                     sized = looked[nu] = (sum(nu), _least_ahead(steps, i, nu, memo))
                 boxes, ahead = sized
-                reached = least_paid + e * abs(boxes - size)
-                if reached + ahead > degree:
-                    continue
-                edges.append((nu, boxes))
-                if new.get(nu, _NEVER) > reached:
-                    new[nu] = reached
-        graph.append(edges_of)
-        paid = new
-    return graph, paid
-
-
-def _sweep(spec, degree, transposed, max_rows):
-    """The configurations of degree <= degree by the boxes they hold per run
-    vector: returns (runs, totals), with runs the distinct run vectors (a
-    run's slices per class mod L, chambers.potential_steps) and totals
-    mapping each tuple of boxes summed over the runs of each vector to its
-    number of configurations."""
-    table = potential_steps(spec, degree)
-    if len(table) < 2:  # no run between two steps: only the empty configuration
-        return [], {(): 1}
-    rules = [rule.flipped() if transposed else rule for _, rule, _ in table]
-    pot = [sum(e) for _, _, e in table]
-    times = [t for t, _, _ in table]
-    shapes = [residue_counts(t + 1, u + 1, spec.L) for t, u in zip(times, times[1:])]
-    runs = list(dict.fromkeys(shapes))
-    slots = [runs.index(shape) for shape in shapes]
-    total_degree = [w.total_degree for w in chamber_weights(spec)]
-    weights = [sum(map(mul, shape, total_degree)) for shape in shapes]
-
-    # stage 1: the partition graph; graph[i] holds the edges into run i
-    graph, paid = _partition_graph(rules, pot, degree, max_rows)
-
-    # stage 2: the least degree any recorded continuation still adds
-    closing = rules[-1]
-    least = _least_degree(
-        graph, weights, {nu: 0 if _closes(closing, nu) else _NEVER for nu in paid}
-    )
-
-    # stage 3: the count sweep over the recorded edges; a count vector
-    # (boxes per run vector, degree) is dropped once no recorded continuation
-    # can keep it within the degree
-    frontier = {(): {(0,) * (len(runs) + 1): 1}}
-    for edges_of, bound, w, slot in zip(graph, least, weights, slots):
-        new = {}
-        for mu, tabs in frontier.items():
-            for nu, boxes in edges_of[mu]:
-                step = w * boxes
-                limit = degree - step - bound[nu]
+                moved = abs(boxes - size)
+                if paid + e * moved + ahead > degree:
+                    continue  # no state at mu stays within the degree through nu
+                step = moved * key_e
+                below = ((degree - ahead + 1) << shift) - step
                 bucket = new.get(nu)
                 if bucket is None:
                     bucket = new[nu] = {}
-                for acc, count in tabs.items():
-                    if acc[-1] > limit:
-                        continue
-                    if boxes:
-                        acc = list(acc)
-                        acc[slot] += boxes
-                        acc[-1] += step
-                        acc = tuple(acc)
-                    bucket[acc] = bucket.get(acc, 0) + count
-                if not bucket:
-                    del new[nu]
+                for key, count in counts.items():
+                    if key < below:
+                        key += step
+                        bucket[key] = bucket.get(key, 0) + count
         frontier = new
-
-    # the step out of the last run must land on the empty partition; the
-    # bounds already ensure it, this keeps the sum right for any bound
-    totals = {}
-    for mu, tabs in frontier.items():
-        if _closes(closing, mu):
-            for acc, count in tabs.items():
-                key = acc[:-1]
-                totals[key] = totals.get(key, 0) + count
-    return runs, totals
-
-
-def _class_counts_to_terms(spec, degree, runs, totals):
-    """The series of _sweep's totals: each run vector times the slice weights
-    (chamber_weights) is the monomial of one box held across that run."""
-    weights = [w.exponents for w in chamber_weights(spec)]
-    L = spec.L
-    monomials = [[sum(n * w[v] for n, w in zip(run, weights)) for v in range(L)] for run in runs]
-    terms = {}
-    for acc, count in totals.items():
-        exps = [0] * L
-        for boxes, monomial in zip(acc, monomials):
-            for v, e in enumerate(monomial):
-                exps[v] += boxes * e
-        assert all(e >= 0 for e in exps), f"negative exponent from run counts {acc}"
-        if sum(exps) <= degree:
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + count
-    return terms
+    return frontier.get((), {})
 
 
 def _enumerate(spec, degree, transposed, max_rows=None):
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    terms = _class_counts_to_terms(spec, degree, *_sweep(spec, degree, transposed, max_rows))
-    return TruncatedSeries(spec.L, degree, terms)
+    return TruncatedSeries._trusted(spec.L, degree, _sweep(spec, degree, transposed, max_rows))
 
 
 def enumerate_z(spec, degree):

@@ -301,14 +301,14 @@ def random_layered_dag(rng, cutoff=12):
     """
     layers = rng.randint(2, 4)
     rows = 4
+    weights = [TruncatedSeries.monomial(1, cutoff, (k,)) for k in range(3)]
     edges = []
     for layer in range(layers):
         for r in range(rows):
             for dr in (0, 1):
                 if r + dr >= rows or rng.random() < 0.3:
                     continue
-                weight = TruncatedSeries.monomial(1, cutoff, (rng.randint(0, 2),))
-                edges.append(((layer, r), (layer + 1, r + dr), weight))
+                edges.append(((layer, r), (layer + 1, r + dr), weights[rng.randint(0, 2)]))
     n = rng.randint(1, 3)
     sources = tuple((0, r) for r in sorted(rng.sample(range(rows), n)))
     sinks = tuple((layers, r) for r in sorted(rng.sample(range(rows), n)))

@@ -1,7 +1,6 @@
 """Direct enumeration of partition evolutions across chambers."""
 
 import itertools
-import math
 import random
 
 import pytest
@@ -180,23 +179,10 @@ def test_over_eager_lookahead_is_caught(monkeypatch):
     assert enumerate_z(spec, 3) != chamber_product(spec, 3)
 
 
-def _shift_degree_bound(monkeypatch, shift):
-    true_bound = enumeration._least_degree
-    monkeypatch.setattr(
-        enumeration,
-        "_least_degree",
-        lambda *args: [
-            {nu: bound + shift for nu, bound in table.items()} for table in true_bound(*args)
-        ],
-    )
-
-
-def test_over_eager_degree_bound_is_caught(monkeypatch):
-    # every degree-D configuration ends on a state whose bound (0) is attained,
-    # so one more than the true bound drops them all
-    _shift_degree_bound(monkeypatch, 1)
-    assert enumerate_z(c3_chamber(), 6) != macmahon(6)
-    assert enumerate_z(conifold_theta(2), 3) != conifold_product(2, 3)
+def _no_lookahead(monkeypatch):
+    """Switch off the sweep's only prune beyond the degree already paid: a
+    zero lookahead, a valid but useless lower bound."""
+    monkeypatch.setattr(enumeration, "_least_ahead", lambda *args: 0)
 
 
 def _all_routes(monkeypatch, spec, d):
@@ -210,7 +196,7 @@ def _all_routes(monkeypatch, spec, d):
 def test_degree_prune_changes_nothing(monkeypatch):
     cases = [(conifold_theta(n), d) for n in (1, 2, 3, 4) for d in (3, 4, 5, 6)]
     pruned = [_all_routes(monkeypatch, spec, d) for spec, d in cases]
-    _shift_degree_bound(monkeypatch, -math.inf)
+    _no_lookahead(monkeypatch)
     for (spec, d), expected in zip(cases, pruned):
         assert _all_routes(monkeypatch, spec, d) == expected, (spec, d)
 
@@ -234,7 +220,7 @@ def test_degree_prune_changes_nothing_on_other_laurent_chambers(monkeypatch):
     ]
     specs = random.Random(7331).sample(laurent, 8)
     pruned = [enumerate_z(spec, 4) for spec in specs]
-    _shift_degree_bound(monkeypatch, -math.inf)
+    _no_lookahead(monkeypatch)
     for spec, expected in zip(specs, pruned):
         assert enumerate_z(spec, 4) == expected, spec
 
@@ -261,10 +247,9 @@ def _potential_chambers():
 
 
 def _window_steps(spec, d):
-    """The sweep's step rules (into each run of the table, then out of it),
+    """The potential step table's rules (into each run, then out of it),
     each run's monomial (the weights of its slices multiplied up) and each
-    step's potential cost vector, as _sweep reads them from the potential
-    step table."""
+    step's potential cost vector."""
     table = potential_steps(spec, d)
     weights = [w.exponents for w in chamber_weights(spec)]
     runs = [
@@ -298,8 +283,10 @@ def _brute_configurations(rules, max_boxes):
 
 
 def test_potential_table_prices_every_configuration_at_its_degree():
-    # componentwise: each configuration pays its monomial, not just its degree
-    for spec in _potential_chambers():
+    # componentwise: each configuration pays its monomial, not just its
+    # degree; the last two are Laurent chambers outside theta_n
+    laurent = [ChamberSpec(3, (1, 1, 1), (3, 1, 5)), ChamberSpec(2, (1, 1), (5, -1))]
+    for spec in _potential_chambers() + laurent:
         for d in (1, 3):
             rules, weights, costs = _window_steps(spec, d)
             pot = [sum(e) for e in costs]
@@ -317,7 +304,7 @@ def test_potential_table_prices_every_configuration_at_its_degree():
 
 
 def test_potential_prune_changes_nothing(monkeypatch):
-    # a zero lookahead leaves stage 1 only the potential already paid and
+    # a zero lookahead leaves the sweep only the potential already paid and
     # the least drop cost ahead; the window still comes from the true table
     theta = [(conifold_theta(n), d) for n in range(7) for d in (3, 5)]
     identity = [(spec, 5) for spec in _potential_chambers()[8:]]
@@ -329,8 +316,11 @@ def test_potential_prune_changes_nothing(monkeypatch):
     cases = [(spec, d, (1, 2, 3)) for spec, d in theta] + [
         (spec, d, ()) for spec, d in identity
     ]
+    # on this Laurent chamber at d = 2, partitions that cannot close reach
+    # the last run unpruned, and only the closing test drops them
+    cases.append((ChamberSpec(2, (1, -1), (5, -1)), 2, (1, 2)))
     pruned = [routes(*case) for case in cases]
-    monkeypatch.setattr(enumeration, "_least_ahead", lambda *args: 0)
+    _no_lookahead(monkeypatch)
     for case, expected in zip(cases, pruned):
         assert routes(*case) == expected, case
 
@@ -356,22 +346,39 @@ def test_over_eager_potential_bound_is_caught(monkeypatch, which):
         assert enumerate_z(conifold_theta(n), 6) != conifold_product(n, 6), n
 
 
-def test_partition_graph_size_is_pinned(monkeypatch):
-    # the stage-1 edges the lookahead keeps; a weaker valid bound records
-    # more of them
-    true_graph = enumeration._partition_graph
-    edges = []
+def test_lookahead_calls_are_pinned(monkeypatch):
+    # the sweep asks the lookahead once per partition the frontier holds at
+    # an ascending step and once per distinct successor of each step, so the
+    # count follows the partitions the bound keeps; half the bound, weaker
+    # but still valid, keeps more of them and gives the same series
+    true_bound = enumeration._least_ahead
+    cases = [(conifold_theta(1), 12), (conifold_theta(2), 10), (conifold_theta(3), 8)]
+    cases.append((c3_chamber(), 22))
 
-    def counted(*args):
-        graph, paid = true_graph(*args)
-        edges.append(sum(len(e) for edges_of in graph for e in edges_of.values()))
-        return graph, paid
+    def calls(bound):
+        counts, series = [], []
+        for spec, d in cases:
+            asked = []
 
-    monkeypatch.setattr(enumeration, "_partition_graph", counted)
-    for n, d in ((1, 12), (2, 10), (3, 8)):
-        enumerate_z(conifold_theta(n), d)
-    enumerate_z(c3_chamber(), 22)
-    assert edges == [250, 159, 104, 2419]
+            def counted(*args):
+                asked.append(args)
+                return bound(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(enumeration, "_least_ahead", counted)
+                series.append(enumerate_z(spec, d))
+            counts.append(len(asked))
+        return counts, series
+
+    def halved(*args):
+        ahead = true_bound(*args)
+        return ahead if ahead == _NEVER else ahead // 2
+
+    pinned, expected = calls(true_bound)
+    assert pinned == [184, 134, 102, 797]
+    weaker, series = calls(halved)
+    assert series == expected
+    assert all(w > p for w, p in zip(weaker, pinned)), (weaker, pinned)
 
 
 def test_laurent_chamber_outside_theta_n_enumerates():
@@ -452,13 +459,18 @@ RUN_CHAMBERS = (
 )
 
 
-def test_run_charged_to_its_first_slice_only_is_caught(monkeypatch):
-    # every slice of a run holds the run's partition; charging its boxes to
-    # the first slice alone miscounts, or leaves a negative exponent
-    _first_slice_only(monkeypatch, enumeration)
+def test_step_cost_moved_to_another_variable_is_caught(monkeypatch):
+    # the sweep prices each box by its step's cost vector e_t; moving one
+    # unit of every e_t from q_0 to q_1 keeps every degree, and so every
+    # prune, but puts configurations on the wrong monomials
+    table = enumeration.potential_steps
+
+    def moved(spec, degree):
+        return [
+            (t, rule, (e[0] - 1, e[1] + 1) + e[2:] if e[0] else e)
+            for t, rule, e in table(spec, degree)
+        ]
+
+    monkeypatch.setattr(enumeration, "potential_steps", moved)
     for spec in RUN_CHAMBERS:
-        try:
-            caught = enumerate_z(spec, 4) != chamber_product(spec, 4)
-        except AssertionError as exc:
-            caught = "negative exponent" in str(exc)
-        assert caught, spec
+        assert enumerate_z(spec, 4) != chamber_product(spec, 4), spec
