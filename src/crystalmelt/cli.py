@@ -21,6 +21,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .chambers import ChamberSpec, c3_chamber, conifold_theta
@@ -294,7 +295,10 @@ def _add_engine_parser(sub, name: str, blurb: str):
     return p
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="crystalmelt",
         description="Exact partition functions of melting crystals, computed several ways",

@@ -67,10 +67,11 @@ class WeightedDag:
     weight) with weight a TruncatedSeries. Walker graphs use a single monomial
     or 1, which the bijection check relies on; path_matrix and lgv_det take
     any series. sources and sinks are equal-length sequences of vertices,
-    pairwise distinct on each side.
+    pairwise distinct on each side. A graph is not changed once built, so
+    _topological_order sorts it at most once.
     """
 
-    __slots__ = ("num_vars", "cutoff", "adjacency", "vertices", "sources", "sinks")
+    __slots__ = ("num_vars", "cutoff", "adjacency", "vertices", "sources", "sinks", "_order")
 
     def __init__(self, num_vars, cutoff, edges, sources, sinks):
         self.num_vars = num_vars
@@ -93,10 +94,15 @@ class WeightedDag:
             vertices.add(head)
         self.adjacency = adjacency
         self.vertices = frozenset(vertices)
+        self._order = None
 
 
 def _topological_order(g):
-    """Vertices in dependency order, always taking the smallest ready vertex."""
+    """Vertices in dependency order, always taking the smallest ready vertex;
+    sorted on the first call and kept in g's _order slot. A graph with a
+    directed cycle raises InvalidGraphError on every call."""
+    if g._order is not None:
+        return g._order
     indeg = {v: 0 for v in g.vertices}
     for tail, outs in g.adjacency.items():
         for head, _ in outs:
@@ -113,6 +119,7 @@ def _topological_order(g):
                 heappush(ready, head)
     if len(order) != len(g.vertices):
         raise InvalidGraphError("graph has a directed cycle")
+    g._order = order
     return order
 
 

@@ -28,17 +28,9 @@ bit-identical to what the enumeration engine counts.
 
 from __future__ import annotations
 
-from .chambers import theta_value
+from .chambers import residue_counts, theta_value
 from .errors import UnsupportedChamberError
 from .series import TruncatedSeries, binomial_factor, product_over_k
-
-
-def _residue_counts(L, a, b):
-    """How many of the indices a, a+1, ..., b-1 fall in each residue class mod L."""
-    counts = [(b - a) // L] * L
-    for j in range(a, a + (b - a) % L):
-        counts[j % L] += 1
-    return tuple(counts)
 
 
 def _inversion_roots(spec, degree):
@@ -50,7 +42,7 @@ def _inversion_roots(spec, degree):
         above = theta_value(spec, i2)
         for j2 in range(i2 + 2, i2 + 2 * degree + 1, 2):
             if above > theta_value(spec, j2):
-                roots.add(_residue_counts(L, (i2 + 1) // 2, (j2 + 1) // 2))
+                roots.add(residue_counts((i2 + 1) // 2, (j2 + 1) // 2, L))
     return roots
 
 
@@ -70,7 +62,7 @@ def chamber_product(spec, degree: int) -> TruncatedSeries:
             s = 1 if spec.rho[(a - 1) % L] == spec.rho[(a + length - 1) % L] else -1
             family = TruncatedSeries.one(L, degree)
             for b in range(a + length, a + degree + 1, L):
-                alpha = _residue_counts(L, a, b)
+                alpha = residue_counts(a, b, L)
                 if alpha[0] and alpha not in skipped:
                     family = family * binomial_factor(L, degree, alpha, -s * alpha[0], sign=-s)
             z = z * family

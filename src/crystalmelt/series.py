@@ -9,7 +9,11 @@ ever pivots on such units is therefore exact and costs O(N^3) multiplies; the
 determinant routine below does that and leaves only a block without any unit
 pivot to the division-free Berkowitz recursion. The same elimination
 (_unit_pivots) serves det_division_free and the Toeplitz size certificate
-(matrixmodel.stabilized_toeplitz).
+(matrixmodel.stabilized_toeplitz). It runs on the packed terms below rather
+than on series: each matrix entry is one working {key: coefficient} dict,
+and each Schur update adds factor * pivot_row[j] into it in place, keeping
+and keying every pair by the packing lemma, so no product or sum series is
+built per entry.
 
 Packed keys. A series stores each monomial q^e of its ring (L variables,
 cutoff D) as one integer, its key
@@ -482,7 +486,9 @@ def det_division_free(matrix) -> TruncatedSeries:
     +-1, a unit of the local ring, so elimination below it is exact. Once a
     column has no unit left, the Schur complement block that remains goes to
     the Berkowitz recursion, giving det = sign * prod(pivots) * det(rest).
-    Matrices whose pivots are all units cost O(n^3) multiplies.
+    The elimination (_unit_pivots) accumulates each Schur update in place on
+    packed terms; matrices whose pivots are all units cost O(n^3) products
+    of entries.
     """
     n = len(matrix)
     if n == 0:
@@ -505,29 +511,80 @@ def _unit_pivots(rows):
     """Unit-pivot Gaussian elimination of the square matrix rows, in place.
 
     For each column c, the first row p >= c whose column-c entry has constant
-    term +-1 is swapped into row c, column c is cleared below it (only
-    columns c + 1 on are rewritten; the stale column-c entries are never read
-    again), and (p, pivot) is yielded. At the first column without such a row
-    the elimination stops, leaving the Schur complement in rows[c:], columns
-    c on.
+    term +-1 is swapped into row c, column c is cleared below it, and
+    (p, pivot) is yielded. At the first column without such a row the
+    elimination stops and writes the Schur complement, as series, into
+    rows[c:], columns c on; no other entry of rows is rewritten.
+
+    The elimination runs on packed terms (module docstring). Every entry gets
+    a private working dict, so entries may share one series object and no
+    input series is mutated. Per column, the pivot row's entries are read
+    once, in ascending key order; per row below it, the factor
+    row[c] * (-pivot^-1) is formed once, and each entry j of that row takes
+    factor * pivot_row[j] in place, by _accumulate. Coefficients that cancel
+    are dropped only where an entry is read as a pivot, a factor or a pivot
+    row entry, or handed back. Entries from different rings raise
+    DimensionError, since their keys do not add.
     """
     n = len(rows)
+    if n == 0:
+        return
+    ring = rows[0][0]
+    num_vars, cutoff, cap = ring.num_vars, ring.cutoff, ring._codec.cap
+    if any(e.num_vars != num_vars or e.cutoff != cutoff for row in rows for e in row):
+        raise DimensionError("matrix entries from different rings")
+
+    def series(packed):
+        return TruncatedSeries._trusted(num_vars, cutoff, {k: v for k, v in packed.items() if v})
+
+    work = [[dict(entry._packed) for entry in row] for row in rows]
     for c in range(n):
-        p = next((r for r in range(c, n) if rows[r][c].constant_term() in (1, -1)), None)
+        p = next((r for r in range(c, n) if work[r][c].get(0) in (1, -1)), None)
         if p is None:
+            for r in range(c, n):
+                rows[r][c:] = map(series, work[r][c:])
             return
         rows[c], rows[p] = rows[p], rows[c]
-        pivot_row = rows[c]
-        pivot = pivot_row[c]
-        neg_inv = -pivot.invert()
-        for row in rows[c + 1 :]:
-            if row[c].is_zero():
+        work[c], work[p] = work[p], work[c]
+        pivot_row = work[c]
+        pivot = series(pivot_row[c])
+        neg_inv = sorted((k, -v) for k, v in pivot.invert()._packed.items())
+        entries = [_sorted_terms(d) for d in pivot_row[c + 1 :]]
+        targets = [(j, terms) for j, terms in enumerate(entries, c + 1) if terms]
+        for row in work[c + 1 :]:
+            entry = _sorted_terms(row[c])
+            if not entry:
                 continue
-            factor = row[c] * neg_inv
-            for j in range(c + 1, n):
-                if not pivot_row[j].is_zero():
-                    row[j] = row[j] + factor * pivot_row[j]
+            factor = {}
+            _accumulate(factor, entry, neg_inv, cap)
+            factor = _sorted_terms(factor)
+            for j, terms in targets:
+                _accumulate(row[j], factor, terms, cap)
         yield p, pivot
+
+
+def _sorted_terms(packed: dict) -> list:
+    """The non-zero (key, coefficient) pairs of packed, in ascending key order."""
+    return sorted((k, v) for k, v in packed.items() if v)
+
+
+def _accumulate(acc: dict, a: list, b: list, cap: int) -> None:
+    """Add the truncated product of the terms a and b, both in ascending key
+    order and b non-empty, into the packed dict acc in place. By the packing
+    lemma (iii) the pair (ka, kb) is kept exactly when ka + kb < cap, and by
+    (ii) ka + kb is then its product's key. Ascending keys let each inner
+    loop stop at its first pair past the cutoff, and the outer loop at the
+    first ka that keeps no pair at all."""
+    first = b[0][0]
+    for ka, ca in a:
+        below = cap - ka
+        if first >= below:
+            break
+        for kb, cb in b:
+            if kb >= below:
+                break
+            key = ka + kb
+            acc[key] = acc.get(key, 0) + ca * cb
 
 
 def _berkowitz(matrix) -> TruncatedSeries:

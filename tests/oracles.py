@@ -221,3 +221,31 @@ def tuple_invert(terms, num_vars, cutoff):
                     acc[key] = acc.get(key, 0) + ca * cb
         parts.append({k: -c0 * c for k, c in acc.items() if c})
     return {k: c for part in parts for k, c in part.items()}
+
+
+def unit_pivots(rows):
+    """Unit-pivot Gaussian elimination of the square matrix rows of series,
+    in place, by whole-series ring operations: for each column c, the first
+    row p >= c whose column-c entry has constant term +-1 is swapped into
+    row c, every later row takes row[j] + (row[c] * -pivot^-1) * pivot_row[j]
+    for j > c, and (p, pivot) is yielded. At the first column without such a
+    row it stops, leaving the Schur complement in rows[c:], columns c on.
+    The entries may be any objects with constant_term, is_zero, invert and
+    the ring operators, so nothing here is imported from the package."""
+    n = len(rows)
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c].constant_term() in (1, -1)), None)
+        if p is None:
+            return
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot_row = rows[c]
+        pivot = pivot_row[c]
+        neg_inv = -pivot.invert()
+        for row in rows[c + 1 :]:
+            if row[c].is_zero():
+                continue
+            factor = row[c] * neg_inv
+            for j in range(c + 1, n):
+                if not pivot_row[j].is_zero():
+                    row[j] = row[j] + factor * pivot_row[j]
+        yield p, pivot

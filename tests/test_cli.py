@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from crystalmelt import StabilizationFailureError, TruncatedSeries
-from crystalmelt.cli import main
+from crystalmelt.cli import build_parser, main
 import crystalmelt.engines as engines_module
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -191,6 +191,28 @@ def test_argparse_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["enumerate", "--seed", "1"]) == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    # main shares one parser per process; each call in a sequence reads as a
+    # fresh process's call, with its own default engine and its own error
+    calls = [
+        ("enumerate", "--degree", "3"),
+        ("toeplitz", "--degree", "3"),
+        ("toeplitz", "--geometry", "neither"),
+        ("verify", "--degree", "3"),
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    build_parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert list(json.loads(fresh[0][1])["engines"]) == ["enumerate"]
+    assert list(json.loads(fresh[1][1])["engines"]) == ["toeplitz"]
+    assert "invalid choice: 'neither'" in fresh[2][2]
 
 
 def test_help_exits_0(capsys):

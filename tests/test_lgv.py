@@ -189,6 +189,23 @@ def test_graph_validation():
         WeightedDag(1, 2, [((0, 0), (1, 0), TruncatedSeries.one(2, 2))], ((0, 0),), ((1, 0),))
 
 
+def test_each_graph_is_sorted_once(monkeypatch):
+    # the determinant and the brute-force guard read one topological order
+    sorts = []
+    heapify = lgv.heapify
+    monkeypatch.setattr(lgv, "heapify", lambda ready: sorts.append(1) or heapify(ready))
+    for seed in range(5):
+        g = random_layered_dag(random.Random(seed))
+        assert lgv_det(g) == nonintersecting_bruteforce(g), seed
+        assert len(sorts) == seed + 1, seed
+    # a cyclic graph keeps no order, so it fails on every call
+    one = TruncatedSeries.one(1, 2)
+    cyclic = WeightedDag(1, 2, [((0, 0), (1, 0), one), ((1, 0), (0, 0), one)], ((0, 0),), ((1, 0),))
+    for _ in range(2):
+        with pytest.raises(InvalidGraphError):
+            path_matrix(cyclic)
+
+
 def test_bruteforce_guard():
     # stacked complete bipartite layers: path counts explode
     one = TruncatedSeries.one(1, 2)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from crystalmelt import (
+    ChamberSpec,
     DimensionError,
     LaurentSymbol,
     NonTerminatingProductError,
@@ -20,10 +21,13 @@ from crystalmelt import (
     product_over_k,
     toeplitz_det,
     walker_graph,
+    walker_path_matrix,
 )
+from crystalmelt import engines, matrixmodel
 from crystalmelt import series as series_module
+from crystalmelt.chambers import row_bound
 from crystalmelt.series import _berkowitz
-from oracles import tuple_invert, tuple_mul
+from oracles import shifted_chamber_data, tuple_invert, tuple_mul, unit_pivots
 
 
 def random_series(rng, num_vars, cutoff, max_terms=6, unit=False):
@@ -167,6 +171,8 @@ def test_mixed_ring_operations_rejected():
         a + b
     with pytest.raises(DimensionError):
         a * c
+    with pytest.raises(DimensionError):
+        det_division_free([[a, a], [c, c]])
 
 
 def test_truncate_is_multiplicative():
@@ -554,3 +560,70 @@ def test_term_view_length_reads_no_key():
     view = f.terms
     view._codec = Boom(2, 16, 5)
     assert len(view) == 3
+
+
+def elimination_record(eliminate, matrix):
+    """What an elimination of a copy of matrix shows: its (p, pivot terms)
+    sequence and the packed terms of the Schur complement it leaves in
+    rows[c:], columns c on (none when every column took a pivot)."""
+    rows = [list(row) for row in matrix]
+    steps = [(p, pivot._packed) for p, pivot in eliminate(rows)]
+    c = len(steps)
+    return steps, [[entry._packed for entry in row[c:]] for row in rows[c:]]
+
+
+def assert_elimination_matches_the_oracle(matrix, label):
+    inputs = {id(entry): entry for row in matrix for entry in row}
+    before = {key: dict(entry._packed) for key, entry in inputs.items()}
+    got = elimination_record(series_module._unit_pivots, matrix)
+    assert {key: entry._packed for key, entry in inputs.items()} == before, label
+    assert got == elimination_record(unit_pivots, matrix), label
+
+
+def test_unit_pivots_match_the_whole_series_oracle_on_the_route_matrices():
+    # T_{R+1} as stabilized_toeplitz builds it, whose entries share one
+    # series per diagonal, and the R-walker path matrix, on every chamber of
+    # the L = 2..4 scans
+    for L, shift, degree in ((2, 3, 6), (3, 2, 5), (4, 1, 4)):
+        for data in shifted_chamber_data(L, shift):
+            spec = ChamberSpec(*data)
+            size = row_bound(matrixmodel._split_steps(spec, degree)[0], degree) + 1
+            symbol = chamber_symbol(spec, degree)
+            zero = TruncatedSeries.zero(L, degree)
+            toeplitz = [[symbol.coeffs.get(i - j, zero) for j in range(size)] for i in range(size)]
+            assert_elimination_matches_the_oracle(toeplitz, (spec, "toeplitz"))
+            walkers = walker_path_matrix(spec, engines._walkers(spec, degree), degree)
+            assert_elimination_matches_the_oracle(walkers, (spec, "lgv"))
+
+
+def test_unit_pivots_match_the_whole_series_oracle_on_random_matrices():
+    # constant terms from units and non-units make row swaps, and stalls
+    # after a pivot whose Schur complement goes back to Berkowitz; repeated
+    # series objects must come back unmutated, and a repeated row cancels
+    # to entries whose zero coefficients must not be handed back
+    rng = random.Random(2718)
+    swaps = stalls = 0
+    for trial in range(120):
+        L, D, n = rng.randint(1, 4), rng.randint(0, 7), rng.randint(1, 6)
+        constants = (
+            stalling_constants(rng, n)
+            if trial % 3 == 0
+            else [[rng.choice((-1, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+        )
+        pool = []
+        for row in constants:
+            for c in row:
+                terms = kernel_series(rng, L, D)
+                terms[(0,) * L] = c
+                pool.append(TruncatedSeries(L, D, terms))
+        matrix = [pool[i * n : (i + 1) * n] for i in range(n)]
+        if trial % 2:
+            shared = rng.choice(pool)
+            for _ in range(n):
+                matrix[rng.randrange(n)][rng.randrange(n)] = shared
+            matrix[rng.randrange(n)] = list(matrix[rng.randrange(n)])
+        steps, rest = elimination_record(series_module._unit_pivots, matrix)
+        swaps += any(p != c for c, (p, _) in enumerate(steps))
+        stalls += bool(steps and rest)
+        assert_elimination_matches_the_oracle(matrix, trial)
+    assert swaps >= 20 and stalls >= 40, (swaps, stalls)
