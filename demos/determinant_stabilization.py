@@ -5,7 +5,8 @@ banded Toeplitz matrix built from a fixed Laurent symbol. Finite sections of
 the matrix only approximate the answer; past a certain size every extra row
 and column stops changing the truncated determinant. That size is proven: no
 configuration of the chamber below the cutoff has more rows than the row
-bound of its step table, which the toeplitz engine reports as its size. This
+bound of its step table, read with every slice as it is or transposed,
+whichever needs fewer; the toeplitz engine reports that bound as its size. This
 script prints the whole approach for the single-vertex geometry and for the
 small resolved chamber, the proven size, and its certificate: the next pivot
 is 1 to the cutoff, while one size fewer fails that check.

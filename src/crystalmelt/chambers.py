@@ -18,6 +18,7 @@ changes across. residue_counts counts the q's of a step's price, of a
 slice's weight and of a run of slices between two table steps.
 """
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -206,32 +207,94 @@ def _step_table(spec, degree):
 
 
 def row_bound(table, degree):
-    """The most non-empty rows any slice of a configuration of degree <=
-    degree can hold, R = max_s floor(degree / c(s)), 0 when no c(s) is within
-    degree, over a potential step table or its kept steps
-    (matrixmodel._split_steps).
+    """(R, R_flipped): the most non-empty rows any slice of a configuration
+    of degree <= degree can hold, over a potential step table or its kept
+    steps (matrixmodel._split_steps), read with each step's relation as given
+    (R) and with every relation flipped (R_flipped). With the relations read
+    one way, R = max_s max{r : the r cheapest rise slots before slice s plus
+    the r cheapest drop slots from slice s on cost at most degree}, 0 when
+    no slice can hold a row.
 
-    Lemma. Slice s lies between steps s - 1 and s. Rows grow only on ascending
-    steps and shrink only on descending ones, so each of the r non-empty rows
-    at slice s holds a unit excursion across s: one unit of height raised at
-    an ascending step a < s and dropped at a descending step d >= s, which
-    costs deg e_a + deg e_d (potential_steps). With c(s) the least deg e_a
-    over ascending a < s plus the least deg e_d over descending d >= s, the
-    excursions are distinct units, so r c(s) <= degree. Every a < d pair
-    costs deg(e_a + e_d) >= 1, so c(s) >= 1 and R <= degree. Steps outside
-    the table are priced above the degree and carry no such unit.
+    Lemma. Slice s lies between steps s - 1 and s, and rows change only at
+    table steps (potential_steps).
+    - An ascending step never removes a row, and each row it adds brings at
+      least one new box. A "minus" ascending step grows a horizontal strip
+      (lam_1 >= mu_1 >= lam_2 >= ...), so it adds at most one row; a "plus"
+      step grows a vertical strip and can add any number.
+    - Descending steps mirror this: a "minus" one removes at most one row,
+      a "plus" one any number, and neither adds a row.
+    - By summation by parts the degree is sum_t deg e_t ||lam_{t+1}| -
+      |lam_t||. So a slice s with r rows pays, on the ascending steps
+      before s, at least sum deg e_a n_a over row counts n_a >= 0 that sum
+      to at least r, with n_a <= 1 on a "minus" step; that is the r
+      cheapest rise slots, a "minus" step offering one slot at deg e_a and
+      a "plus" step any number. The descending steps from s on pay the r
+      cheapest drop slots likewise, since the configuration ends empty.
+    - Pair the r cheapest rise slots with the r cheapest drop slots one to
+      one: a rise at a < s and a drop at d >= s cost deg(e_a + e_d) >= 1
+      together, so r <= degree, and no slot list needs more than degree
+      entries. Steps outside the table are priced above the degree and
+      offer no slot within it.
+    Offering any number of slots on every step gives the older bound
+    max_s floor(degree / c(s)), c(s) the cheapest rise plus the cheapest
+    drop, so neither bound exceeds it.
+
+    Flipping every relation transposes every slice and leaves Z unchanged
+    (the transposed sweep, enumeration.enumerate_z_transposed), so a route
+    may read the flipped table with R_flipped rows.
+
+    Moving slice s past an ascending step only adds rise slots, and past a
+    descending step only takes drop slots away, so the bound is greatest at
+    a peak: a slice just after an ascending step and just before a
+    descending one. One forward pass keeps the rise slots at each peak, and
+    one backward pass offers the drop slots and reads both bounds at each.
     """
-    never = float("inf")
-    rise = []  # rise[i]: the least deg e_a over the ascending steps before slice i
-    least = never
-    for _, rule, e in table:
-        rise.append(least)
+    peaks = []  # (i, rise slots before step i, as given and flipped) at each peak
+    up = ([], [])
+    rising = False
+    for i, (_, rule, e) in enumerate(table):
         if rule.direction == "ascending":
-            least = min(least, sum(e))
-    bound, drop = 0, never
-    for (_, rule, e), up in zip(reversed(table), reversed(rise)):
+            minus = rule.relation == "minus"
+            _offer(up[0], sum(e), minus, degree)
+            _offer(up[1], sum(e), not minus, degree)
+            rising = True
+        elif rising:
+            peaks.append((i, tuple(up[0]), tuple(up[1])))
+            rising = False
+    bounds = [0, 0]
+    down = ([], [])
+    for i in range(len(table) - 1, -1, -1):
+        if not peaks:
+            break
+        _, rule, e = table[i]
         if rule.direction == "descending":
-            drop = min(drop, sum(e))
-        if up + drop <= degree:
-            bound = max(bound, degree // (up + drop))
-    return bound
+            minus = rule.relation == "minus"
+            _offer(down[0], sum(e), minus, degree)
+            _offer(down[1], sum(e), not minus, degree)
+        if peaks[-1][0] == i:
+            for o, rises in enumerate(peaks.pop()[1:]):
+                room, r = degree, 0
+                for a, d in zip(rises, down[o]):
+                    room -= a + d
+                    if room < 0:
+                        break
+                    r += 1
+                bounds[o] = max(bounds[o], r)
+    return tuple(bounds)
+
+
+def _flipped(table):
+    """table with every step's relation flipped, which transposes every
+    slice of every configuration."""
+    return tuple((t, rule.flipped(), e) for t, rule, e in table)
+
+
+def _offer(slots, cost, single, degree):
+    """Add a step's slots at cost to slots, kept sorted and cut at degree
+    entries: one slot when single, else as many as fit."""
+    if single:
+        insort(slots, cost)
+        del slots[degree:]
+    else:
+        cheaper = bisect_right(slots, cost)
+        slots[cheaper:] = [cost] * (degree - cheaper)

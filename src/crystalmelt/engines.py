@@ -21,13 +21,22 @@ verify_all takes the product and Toeplitz values it checks from here.
   transfer over the potential step table (lgv.walker_path_matrix), for
   every chamber, with chambers.row_bound of that table as the walker count.
 
+Both determinant routes read their table in whichever orientation needs
+fewer rows: as it is, or with every relation flipped, which transposes
+every slice and leaves Z unchanged (chambers.row_bound). On a tie the lgv
+route keeps the table as it is, and the Toeplitz route follows the rule of
+matrixmodel._split_steps. Each route settles its orientation and size once
+per (chamber, degree).
+
 Every route reads the same 2D + 1 steps, so none does work that grows with
 the chamber's distance from the identity.
 """
 
-from .chambers import potential_steps, row_bound
+from functools import lru_cache
+
+from .chambers import _flipped, row_bound, potential_steps
 from .enumeration import enumerate_z
-from .lgv import walker_path_matrix
+from .lgv import _walker_transfer
 from .matrixmodel import _split_steps, chamber_prefactor, chamber_symbol, stabilized_toeplitz
 from .products import chamber_product
 from .series import det_division_free
@@ -35,9 +44,17 @@ from .series import det_division_free
 ENGINES = ("enumerate", "product", "toeplitz", "lgv")
 
 
-def _walkers(spec, degree):
-    """The lgv route's walker count: the row bound, and at least one walker."""
-    return max(row_bound(potential_steps(spec, degree), degree), 1)
+@lru_cache(maxsize=None)
+def _lgv_route(spec, degree):
+    """The lgv route's walker count and step table: the potential step table
+    as it is or with every relation flipped, whichever has the smaller row
+    bound (as it is on a tie), and that bound as the walker count, at least
+    one."""
+    table = potential_steps(spec, degree)
+    plain, flipped = row_bound(table, degree)
+    if flipped < plain:
+        return max(flipped, 1), _flipped(table)
+    return max(plain, 1), table
 
 
 def engine_series(name, spec, degree):
@@ -50,11 +67,12 @@ def engine_series(name, spec, degree):
     if name == "enumerate":
         return enumerate_z(spec, degree), {}
     if name == "lgv":
-        return det_division_free(walker_path_matrix(spec, _walkers(spec, degree), degree)), {}
+        walkers, steps = _lgv_route(spec, degree)
+        return det_division_free(_walker_transfer(spec.L, walkers, degree, steps)), {}
     if name == "product":
         return chamber_product(spec, degree), {}
     if name == "toeplitz":
-        size = row_bound(_split_steps(spec, degree)[0], degree)
+        size = _split_steps(spec, degree).size
         res = stabilized_toeplitz(chamber_symbol(spec, degree), degree, size)
         return chamber_prefactor(spec, degree) * res.value, {"stabilized_at": res.stabilized_at}
     raise ValueError(f"unknown engine {name!r}")

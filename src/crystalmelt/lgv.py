@@ -25,6 +25,13 @@ the table's steps, the 2D + 1 steps priced within the cutoff. walker_graph
 builds its edges from the table and profile_bijection_check reads its slice
 rules from it.
 
+Orientation. Flipping every relation of the table transposes every slice,
+so its walkers count columns, and the sum is the same Z. The lgv route reads
+the table in whichever orientation has the smaller row bound
+(engines._lgv_route); _walker_transfer and _walker_graph take the table in
+either orientation, and walker_path_matrix and walker_graph read it as it
+is.
+
 Transfer lemma. walker_path_matrix reads the same table without building a
 graph. A source's row is a vector over the heights 0..walkers-1+D, one path
 sum per height, and each step updates it in place. A straight edge is the
@@ -322,15 +329,14 @@ def random_layered_dag(rng, cutoff=12):
     return WeightedDag(1, cutoff, edges, sources, sinks)
 
 
-def _walker_table(spec, walkers, degree):
-    """The top height walkers - 1 + degree of spec's walker routes and their
-    step table (chambers.potential_steps), once the walker count and the
-    degree are checked."""
+def _top(walkers, degree):
+    """The top height walkers - 1 + degree of the walker routes, once the
+    walker count and the degree are checked."""
     if walkers < 1:
         raise ValueError("need at least one walker")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    return walkers - 1 + degree, potential_steps(spec, degree)
+    return walkers - 1 + degree
 
 
 def _sweep_order(hmax, lift, rail):
@@ -368,9 +374,16 @@ def walker_path_matrix(spec, walkers, degree):
     """path_matrix(walker_graph(spec, walkers, degree)), entry for entry,
     summed by in-place transfer over the step table without building the
     graph (the transfer lemma in the module docstring)."""
-    hmax, steps = _walker_table(spec, walkers, degree)
+    _top(walkers, degree)
+    return _walker_transfer(spec.L, walkers, degree, potential_steps(spec, degree))
+
+
+def _walker_transfer(L, walkers, degree, steps):
+    """walker_path_matrix over a step table in either orientation: the
+    potential step table as it is or with every relation flipped."""
+    hmax = _top(walkers, degree)
     least = _least_by_step(steps, walkers, hmax)
-    codec = _codec(spec.L, degree)
+    codec = _codec(L, degree)
     # per step: its packed exponents and, in sweep order, the moves it makes
     # as (head, tail, bound): a term at the tail moves iff its key is below
     # bound, that is iff its degree is within what the move leaves (series
@@ -402,7 +415,7 @@ def walker_path_matrix(spec, walkers, degree):
                         key = e + step
                         into[key] = into.get(key, 0) + c
         # trusted: each coefficient sums positive terms; every key moved stays within the degree
-        matrix.append([TruncatedSeries._trusted(spec.L, degree, vec[j]) for j in range(walkers)])
+        matrix.append([TruncatedSeries._trusted(L, degree, vec[j]) for j in range(walkers)])
     return matrix
 
 
@@ -418,11 +431,14 @@ def walker_graph(spec, walkers, degree):
     route sums the same paths without this graph (walker_path_matrix); the
     graph stays as its oracle.
     """
-    return _walker_graph(spec.L, walkers, degree, *_walker_table(spec, walkers, degree))
+    _top(walkers, degree)
+    return _walker_graph(spec.L, walkers, degree, potential_steps(spec, degree))
 
 
-def _walker_graph(L, walkers, degree, hmax, steps):
-    """walker_graph up to height hmax over a potential step table."""
+def _walker_graph(L, walkers, degree, steps):
+    """walker_graph over a step table in either orientation, as
+    _walker_transfer reads it."""
+    hmax = _top(walkers, degree)
     one = TruncatedSeries.one(L, degree)
     edges = []
     for i, (_, rule, exps) in enumerate(steps):
@@ -593,8 +609,9 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     node_guard caps the number of nodes entered; past it the search raises
     OracleTooLargeError.
     """
-    hmax, steps = _walker_table(spec, walkers, degree)
-    g = _walker_graph(spec.L, walkers, degree, hmax, steps)
+    _top(walkers, degree)
+    steps = potential_steps(spec, degree)
+    g = _walker_graph(spec.L, walkers, degree, steps)
     weights = [w.exponents for w in chamber_weights(spec)]
     codec = _codec(spec.L, degree)
     order = _topological_order(g)

@@ -5,26 +5,32 @@ an N x N block reproduces the unitary matrix integral, and for N large the
 determinant stops depending on N at any fixed series truncation. For a
 chamber symbol the size where it stops is proven, not searched for: the
 N x N determinant sums the configurations of the kept steps (split lemma
-below) with at most N rows, and chambers.row_bound over those steps, R_kept,
-bounds the rows of every configuration of degree <= D. So every N >= R_kept
-gives the same truncation, and the route takes the determinant at size
-R_kept. stabilized_toeplitz certifies the size it is given with one more
-pivot: sizes N and N + 1 agree exactly when u_{N+1} is 1 at the cutoff.
+below) with at most N rows, and chambers.row_bound over those steps in the
+route's orientation (below), R_kept, bounds the rows of every configuration
+of degree <= D. So every N >= R_kept gives the same truncation, and the
+route takes the determinant at size R_kept. stabilized_toeplitz certifies
+the size it is given with one more pivot: sizes N and N + 1 agree exactly
+when u_{N+1} is 1 at the cutoff.
 
 Certificate: eliminating T_{N+1} without row swaps yields its pivots
 u_1..u_{N+1}, the first N of which multiply to det T_N, so
 det T_{N+1} = det T_N u_{N+1} equals det T_N, a unit (below), exactly when
-u_{N+1} = 1. Lemma: at q = 0 every symbol built here is 1 + z (all other
-factors reduce to 1), so T_N is unit lower-bidiagonal mod q, every leading
-minor is 1 mod q and every pivot u_N = minor_N / minor_{N-1} is a unit of
-the local ring: no swap is ever needed, and a symbol that needs one is
-rejected with StabilizationFailureError naming the size.
+u_{N+1} = 1. Lemma: at q = 0 every symbol built here is its lax factor,
+1 + z or 1 / (1 - z) (all other factors reduce to 1), so G_m is 1 mod q on
+the diagonal, 0 mod q above it, and T_N is unit lower triangular mod q.
+Every leading minor is 1 mod q and every pivot u_N = minor_N / minor_{N-1}
+is a unit of the local ring: no swap is ever needed, and a symbol that needs
+one is rejected with StabilizationFailureError naming the size.
 
-Window bookkeeping: every factor except the single (1 + z) carries at least
-one unit of q-degree per unit of |z|-power, so z-exponents beyond D + 1 have
-identically zero coefficients at truncation D. Multiplying the lone lax
-factor last keeps the intermediate products strict and makes the window clip
-lossless.
+Window bookkeeping: every factor except the lax one carries at least one
+unit of q-degree per unit of |z|-power, so before the lax factor z-exponents
+beyond D have identically zero coefficients at truncation D, and every clip
+at the window D + 1 is lossless. The lax factor goes last. (1 + z) moves the
+strict product up by one power, to D + 1 at most. 1 / (1 - z) sums every
+lower power into each z^m, so positive powers no longer vanish past D + 1,
+but each z^m with |m| <= D + 1 reads only powers below it, all kept, and is
+exact. T_{N+1} reads only |m| <= N <= D, since the size N is a row bound,
+at most D (chambers.row_bound).
 
 Chamber symbols. A chamber's partition function is the vacuum expectation
 of one vertex operator per step of its potential step table
@@ -48,9 +54,16 @@ with d kept, and Z is that determinant times the pair factors over the
 pairs a < d with d dropped (chamber_prefactor). A pair factor has degree
 deg(e_a + e_d) >= deg e_a, deg e_d, and the steps outside the table are
 priced above D, so the table holds every pair factor below the cutoff. Only
-a* has e = 0; it is the lax factor (1 + z). When a* is "minus" every
-relation is flipped first: that transposes every partition, which leaves Z
-unchanged and the pair factors too.
+a* has e = 0; it is the lax factor, (1 + z) when a* is "plus" and
+1 / (1 - z) when it is "minus".
+
+Orientation. Flipping every relation transposes every partition, which
+leaves Z unchanged and the pair factors too, but not the row bound: a
+"minus" step adds or removes at most one row (chambers.row_bound). So the
+route reads the kept steps as they are or all flipped, whichever has the
+smaller R_kept; on a tie it flips exactly when a* is "minus", so that the
+lax factor is (1 + z). c3 flipped, for one, needs floor(sqrt(D)) rows
+where c3 as it is needs D.
 
 Division lemma: a denominator factor 1 - u z^{+-1} with deg u >= 1 has the
 strict inverse sum_j u^j z^{+-j}, so a strict symbol divided by it stays
@@ -58,17 +71,19 @@ strict: its z^m coefficient has valuation >= |m|, hence vanishes for
 |m| > D. The window clip at D + 1 therefore drops nothing at any stage, and
 dividing by the denominator one factor at a time (_divide_linear) gives
 exactly the truncated quotient by the whole denominator; no general symbol
-inverse is needed.
+inverse is needed. The lax 1 / (1 - z) is divided out last, as the window
+lemma above requires.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from math import prod
 from operator import add
 from typing import NamedTuple
 
-from .chambers import potential_steps
+from .chambers import _flipped, row_bound, potential_steps
 from .errors import StabilizationFailureError
 from .series import LaurentSymbol, TruncatedSeries, _codec, _unit_pivots, binomial_factor
 
@@ -119,28 +134,32 @@ def _divide_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps) -> d
     _times_linear; coeffs is not modified. The quotient g solves
     g = f + x^exps z^zpow g, so g_m = f_m + x^exps g_{m - zpow}, solved one
     z-power at a time in the direction of zpow until the carry runs out or
-    leaves the window. exps must have positive degree (the symbols here are
-    strict).
+    leaves the window. A degree-0 exps (the lax 1 / (1 - z)) never lets the
+    carry run out, so it runs to the window edge; that is exact, since each
+    z-power reads only the ones before it (window lemma in the module
+    docstring).
     """
     codec = _codec(len(exps), cutoff)
     step = codec.pack(exps)
     below = (cutoff - sum(exps) + 1) << codec.shift
     m, last = (min(coeffs), max(coeffs)) if zpow > 0 else (max(coeffs), min(coeffs))
     out = {}
-    carry = {}
+    prev = {}  # g_{m - zpow}
     while abs(m) <= window:
-        g = dict(coeffs.get(m, {}))
-        for e, c in carry.items():
-            c += g.get(e, 0)
-            if c:
-                g[e] = c
-            else:
-                del g[e]
+        g = dict(coeffs.get(m, ()))
+        for e, c in prev.items():
+            if e < below:
+                key = e + step
+                c += g.get(key, 0)
+                if c:
+                    g[key] = c
+                else:
+                    del g[key]
         if g:
             out[m] = g
-        carry = {e + step: c for e, c in g.items() if e < below}
-        if not carry and (m - last) * zpow >= 0:
-            break
+        elif (m - last) * zpow >= 0:
+            break  # nothing left to carry past the last z-power of coeffs
+        prev = g
         m += zpow
     return out
 
@@ -156,40 +175,73 @@ def _to_symbol(num_vars: int, cutoff: int, window: int, coeffs: dict) -> Laurent
     )
 
 
+def _cut(steps):
+    """(kept, dropped) of a step table cut at its last ascending step, each
+    relation as given (module docstring)."""
+    last_up = max(t for t, rule, _ in steps if rule.direction == "ascending")
+    kept = tuple(s for s in steps if s[1].direction == "ascending" or s[0] > last_up)
+    dropped = tuple(s for s in steps if s[1].direction == "descending" and s[0] < last_up)
+    return kept, dropped
+
+
+class _Split(NamedTuple):
+    """The Toeplitz route's step tables (_split_steps) and its size."""
+
+    kept: tuple
+    dropped: tuple
+    size: int
+
+
+@lru_cache(maxsize=None)
 def _split_steps(spec, degree):
     """The potential step table cut at its last ascending step, as (kept,
-    dropped): dropped holds the descending steps before that step, kept every
-    other step. Both are step tables, with every relation flipped when the
-    degree-0 step a* is "minus" (module docstring)."""
+    dropped, size): dropped holds the descending steps before that step,
+    kept every other step, and size is R_kept, chambers.row_bound over kept.
+    Both tables are read as they are or with every relation flipped,
+    whichever orientation gives the smaller R_kept, and flipped on a tie
+    exactly when the degree-0 step a* is "minus" (module docstring). Built
+    once per (spec, degree) and kept."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    steps = potential_steps(spec, degree)
-    if any(sum(e) == 0 and rule.relation == "minus" for _, rule, e in steps):
-        steps = [(t, rule.flipped(), e) for t, rule, e in steps]
-    last_up = max(t for t, rule, _ in steps if rule.direction == "ascending")
-    kept = [s for s in steps if s[1].direction == "ascending" or s[0] > last_up]
-    dropped = [s for s in steps if s[1].direction == "descending" and s[0] < last_up]
-    return kept, dropped
+    kept, dropped = _cut(potential_steps(spec, degree))
+    plain, flipped = row_bound(kept, degree)
+    if flipped == plain:
+        flip = any(sum(e) == 0 and rule.relation == "minus" for _, rule, e in kept)
+    else:
+        flip = flipped < plain
+    if flip:
+        return _Split(_flipped(kept), _flipped(dropped), flipped)
+    return _Split(kept, dropped, plain)
 
 
 def chamber_symbol(spec, degree: int) -> LaurentSymbol:
     """The walker symbol over the kept steps of the chamber's potential step
-    table: (1 + x^e_t z^{+-1}) for a "plus" step and 1 / (1 - x^e_t z^{+-1})
-    for a "minus" one, with z^{+1} on ascending steps and z^{-1} on
-    descending ones, and the lax (1 + z) of a* last (module docstring)."""
-    kept, _ = _split_steps(spec, degree)
+    table, in the route's orientation (_split_steps): (1 + x^e_t z^{+-1}) for
+    a "plus" step and 1 / (1 - x^e_t z^{+-1}) for a "minus" one, with z^{+1}
+    on ascending steps and z^{-1} on descending ones, and the lax factor of
+    a* last (module docstring)."""
+    return _symbol(spec.L, degree, _split_steps(spec, degree).kept)
+
+
+def _symbol(num_vars, degree, kept):
+    """chamber_symbol over the kept steps given, in their orientation."""
     window = degree + 1
     f = {0: {0: 1}}
     for _, rule, e in kept:
         if sum(e) == 0:
+            lax = rule
             continue
         zpow = 1 if rule.direction == "ascending" else -1
         if rule.relation == "plus":
             f = _times_linear(f, degree, window, zpow, e, 1)
         else:
             f = _divide_linear(f, degree, window, zpow, e)
-    f = _times_linear(f, degree, window, 1, (0,) * spec.L, 1)
-    return _to_symbol(spec.L, degree, window, f)
+    zero = (0,) * num_vars
+    if lax.relation == "plus":
+        f = _times_linear(f, degree, window, 1, zero, 1)
+    else:
+        f = _divide_linear(f, degree, window, 1, zero)
+    return _to_symbol(num_vars, degree, window, f)
 
 
 def chamber_prefactor(spec, degree: int) -> TruncatedSeries:
@@ -197,7 +249,7 @@ def chamber_prefactor(spec, degree: int) -> TruncatedSeries:
     of a dropped descending step d and an ascending step a < d with
     deg(e_a + e_d) <= degree of 1 / (1 - x^(e_a + e_d)) when their relations
     match and (1 + x^(e_a + e_d)) when they differ (module docstring)."""
-    kept, dropped = _split_steps(spec, degree)
+    kept, dropped, _ = _split_steps(spec, degree)
     powers = Counter()
     for d, d_rule, d_e in dropped:
         room = degree - sum(d_e)
@@ -230,7 +282,7 @@ def stabilized_toeplitz(f: LaurentSymbol, degree: int, size: int) -> MatrixModel
     if f.cutoff < degree:
         raise ValueError("symbol truncated below the requested degree")
     zero = TruncatedSeries.zero(f.num_vars, degree)
-    g = {m: c.truncate(degree) for m, c in f.coeffs.items()}
+    g = {m: c.truncate(degree) for m, c in f.coeffs.items() if abs(m) <= size}
     rows = [[g.get(i - j, zero) for j in range(size + 1)] for i in range(size + 1)]
     pivots = []
     for p, pivot in _unit_pivots(rows):

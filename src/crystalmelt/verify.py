@@ -11,20 +11,21 @@ battery.
 """
 
 import random
+from math import isqrt
 from typing import NamedTuple
 
 from .chambers import c3_chamber, conifold_theta
-from .engines import _walkers, engine_series
+from .engines import _lgv_route, engine_series
 from .enumeration import enumerate_z, enumerate_z_transposed
 from .lgv import (
     WeightedDag,
+    _walker_graph,
+    _walker_transfer,
     lgv_det,
     nonintersecting_bruteforce,
     path_matrix,
     profile_bijection_check,
     random_layered_dag,
-    walker_graph,
-    walker_path_matrix,
 )
 from .matrixmodel import chamber_prefactor, chamber_symbol
 from .products import macmahon_two_var, wall_factor
@@ -124,8 +125,9 @@ def _run_c3_toeplitz(Dmax, nmax, fault, rng, cache):
     stabilized_at = extras["stabilized_at"]
     lhs = _flip(value, 3, fault)
     bad = _series_mismatches(lhs, engine_series("product", c3_chamber(), d)[0])
-    if stabilized_at != d:
-        bad.append({"stabilized_at": stabilized_at, "expected": d})
+    # r rows need r^2 boxes, so the proven size is floor(sqrt(d))
+    if stabilized_at != isqrt(d):
+        bad.append({"stabilized_at": stabilized_at, "expected": isqrt(d)})
     detail = (
         f"Toeplitz determinant of the single-walker symbol stabilizes at size "
         f"{stabilized_at} and equals the MacMahon series to degree {d}"
@@ -252,11 +254,13 @@ def _run_lgv_oracle(Dmax, nmax, fault, rng, cache):
 
 
 def _walker_det(spec, walkers, degree, bad, tags):
-    """The walker determinant of the production route, walker_path_matrix,
-    whose every entry must also equal path_matrix of the built graph; entry
-    mismatches go to bad with the given tags."""
-    matrix = walker_path_matrix(spec, walkers, degree)
-    oracle = path_matrix(walker_graph(spec, walkers, degree))
+    """The walker determinant of the production route, the transfer over the
+    lgv route's own table (engines._lgv_route), whose every entry must also
+    equal path_matrix of the graph built over that table; entry mismatches go
+    to bad with the given tags."""
+    steps = _lgv_route(spec, degree)[1]
+    matrix = _walker_transfer(spec.L, walkers, degree, steps)
+    oracle = path_matrix(_walker_graph(spec.L, walkers, degree, steps))
     for i, (row, orow) in enumerate(zip(matrix, oracle)):
         for j, (got, want) in enumerate(zip(row, orow)):
             bad.extend(_series_mismatches(got, want, limit=1, entry=[i, j], **tags))
@@ -267,14 +271,14 @@ def _run_walker_graphs(Dmax, nmax, fault, rng, cache):
     bad = []
     d = min(5, Dmax)
     target = engine_series("product", c3_chamber(), d)[0]
-    r = _walkers(c3_chamber(), d)
+    r = _lgv_route(c3_chamber(), d)[0]
     for walkers in (r, r + 1):
         tags = {"geometry": "c3", "walkers": walkers}
         det = _walker_det(c3_chamber(), walkers, d, bad, tags)
         bad += _series_mismatches(det, target, **tags)
     dc = min(4, Dmax)
     ctarget = _cached_conifold(cache, 0, Dmax).truncate(dc)
-    r = _walkers(conifold_theta(0), dc)
+    r = _lgv_route(conifold_theta(0), dc)[0]
     sizes = (r, r + 1)
     for walkers in sizes:
         tags = {"geometry": "conifold", "walkers": walkers}

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 from operator import add, sub
 
 import pytest
@@ -15,7 +16,7 @@ from crystalmelt import (
     theta_inverse,
     theta_value,
 )
-from crystalmelt import chambers
+from crystalmelt import chambers, engines, enumeration, matrixmodel
 from crystalmelt.chambers import conifold_index, potential_steps, row_bound
 from crystalmelt.engines import engine_series
 from oracles import genuine_weights, peak_slices, shifted_chamber_data, slice_rule, theta_preimage
@@ -239,11 +240,41 @@ def test_potential_steps_are_the_steps_priced_within_the_degree():
 
 def test_row_bound_values():
     for d in range(13):
-        assert row_bound(potential_steps(c3_chamber(), d), d) == d
-        assert row_bound(potential_steps(conifold_theta(0), d), d) == d
-    assert row_bound(potential_steps(conifold_theta(1), 16), 16) == 8
+        # c3 as it is has only "plus" steps; flipped, r rows need r^2 boxes
+        c3_table = potential_steps(c3_chamber(), d)
+        assert row_bound(c3_table, d) == (d, isqrt(d))
+        assert row_bound(chambers._flipped(c3_table), d) == (isqrt(d), d)
+        assert row_bound(potential_steps(conifold_theta(0), d), d)[0] == (d + 1) // 2
+    assert row_bound(potential_steps(conifold_theta(1), 16), 16) == (8, 8)
     for spec in scan_chambers():
-        assert row_bound(potential_steps(spec, 0), 0) == 0, spec
+        assert row_bound(potential_steps(spec, 0), 0) == (0, 0), spec
+
+
+def bound_cases():
+    """(chamber, degree): c3 at degree 0-12, theta_0..theta_3 at 0-10, and
+    the L = 2 |shift| <= 3 scan at degree 6, L = 3 <= 2 at 5, L = 4 <= 1 at 4."""
+    cases = [(c3_chamber(), d) for d in range(13)]
+    cases += [(conifold_theta(n), d) for n in range(4) for d in range(11)]
+    for L, shift, degree in ((2, 3, 6), (3, 2, 5), (4, 1, 4)):
+        cases += [(ChamberSpec(*data), degree) for data in shifted_chamber_data(L, shift)]
+    return cases
+
+
+def test_row_bound_is_the_least_sufficient_row_count():
+    # in both orientations: the sweep held to R rows per slice (R columns,
+    # flipped) gives Z, and one row fewer does not
+    cases = bound_cases()
+    assert len(cases) == 301
+    for spec, d in cases:
+        z = enumerate_z(spec, d)
+        table = potential_steps(spec, d)
+        bounds = row_bound(table, d)
+        assert row_bound(chambers._flipped(table), d) == bounds[::-1], (spec, d)
+        for transposed, bound in zip((False, True), bounds):
+            assert enumeration._enumerate(spec, d, transposed, bound) == z, (spec, d)
+            if bound:
+                short = enumeration._enumerate(spec, d, transposed, bound - 1)
+                assert short != z, (spec, d, transposed)
 
 
 def test_row_bound_holds_every_configuration():
@@ -253,13 +284,15 @@ def test_row_bound_holds_every_configuration():
     specs += rng.sample(list(scan_chambers()), 40)
     for spec in specs:
         for d in (0, 3, 5):
-            bound = row_bound(potential_steps(spec, d), d)
+            bound = row_bound(potential_steps(spec, d), d)[0]
             assert enumerate_z_rows(spec, d, bound) == enumerate_z(spec, d), (spec, d)
 
 
 def test_one_step_table_per_engine_run():
     for name in ("toeplitz", "lgv"):
         chambers._step_table.cache_clear()
+        engines._lgv_route.cache_clear()
+        matrixmodel._split_steps.cache_clear()
         engine_series(name, conifold_theta(2), 6)
         assert chambers._step_table.cache_info().misses == 1, name
 

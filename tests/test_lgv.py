@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import isqrt
 
 import pytest
 
@@ -24,12 +25,14 @@ from crystalmelt import (
     walker_graph,
     walker_path_matrix,
 )
-from crystalmelt import WeightedDag, chamber_product, chamber_weights, engines, enumeration, lgv
+from crystalmelt import WeightedDag, chamber_product, chamber_weights, chambers, engines
+from crystalmelt import enumeration, lgv
+from crystalmelt.chambers import potential_steps, row_bound
 from crystalmelt.engines import engine_series
 from crystalmelt.lgv import _paths_between
 from oracles import genuine_weights, peak_slices, shifted_chamber_data, slice_rule
 from test_enumeration import RUN_CHAMBERS, _first_slice_only
-from test_matrixmodel import scan_sample
+from test_matrixmodel import clear_route_caches, scan_sample
 
 
 def w_monomial(i, cutoff=4):
@@ -498,6 +501,29 @@ def test_walker_path_matrix_equals_the_graph_path_matrix():
         assert walker_path_matrix(spec, walkers, degree) == expected, (spec.L, walkers, degree)
 
 
+def test_walker_transfer_equals_the_graph_on_flipped_tables():
+    # with every relation flipped c3's steps are all rails and theta_n's
+    # swap kinds; the transfer must still equal the graph built over the
+    # same table, and the route's own table and walker count give Z
+    specs = [c3_chamber()] + [conifold_theta(n) for n in range(3)]
+    specs.append(ChamberSpec(3, (1, 1, -1), (1, 3, 5)))
+    for spec in specs:
+        for degree in range(7):
+            table = chambers._flipped(potential_steps(spec, degree))
+            bound = max(row_bound(table, degree)[0], 1)
+            for walkers in sorted({1, 2, bound, bound + 1}):
+                got = lgv._walker_transfer(spec.L, walkers, degree, table)
+                graph = lgv._walker_graph(spec.L, walkers, degree, table)
+                assert got == path_matrix(graph), (spec, walkers, degree)
+            walkers, steps = engines._lgv_route(spec, degree)
+            det = det_division_free(lgv._walker_transfer(spec.L, walkers, degree, steps))
+            assert det == enumerate_z(spec, degree), (spec, degree)
+    # c3 is read flipped from degree 2 on, with floor(sqrt(D)) walkers
+    for degree in range(2, 13):
+        walkers, steps = engines._lgv_route(c3_chamber(), degree)
+        assert walkers == isqrt(degree) and steps != potential_steps(c3_chamber(), degree)
+
+
 def test_walker_path_matrix_on_single_peak_chambers():
     # the 28 genuine single-peak chambers of the L = 2-4, |shift| <= 2 scan,
     # theta_0..theta_6 and a seeded sample of the rest of that scan, multi-peak
@@ -588,10 +614,21 @@ def test_over_eager_transfer_sink_cut_is_caught(monkeypatch):
 
 
 def test_one_row_short_walker_count_is_caught(monkeypatch):
-    # one walker fewer than the row bound drops configurations somewhere
-    real = engines.row_bound
-    monkeypatch.setattr(engines, "row_bound", lambda table, degree: real(table, degree) - 1)
-    assert any(
-        engine_series("lgv", spec, degree)[0] != chamber_product(spec, degree)
+    # one walker fewer than the row bound drops configurations somewhere, on
+    # a table read as it is and on one read flipped
+    cases = [
+        (spec, degree, engines._lgv_route(spec, degree)[1] != potential_steps(spec, degree))
         for spec, degree in scan_sample()
+    ]
+    real = engines.row_bound
+    monkeypatch.setattr(
+        engines, "row_bound", lambda table, degree: tuple(b - 1 for b in real(table, degree))
     )
+    clear_route_caches()
+    caught = {False: 0, True: 0}
+    try:
+        for spec, degree, flip in cases:
+            caught[flip] += engine_series("lgv", spec, degree)[0] != chamber_product(spec, degree)
+    finally:
+        clear_route_caches()
+    assert caught[False] and caught[True], caught

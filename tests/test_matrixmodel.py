@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 
@@ -25,10 +26,9 @@ from crystalmelt import (
     product_over_k,
     stabilized_toeplitz,
     toeplitz_det,
-    walker_graph,
 )
-from crystalmelt import engines, enumeration, lgv, matrixmodel, series
-from crystalmelt.chambers import row_bound
+from crystalmelt import chambers, engines, enumeration, lgv, matrixmodel, series
+from crystalmelt.chambers import potential_steps, row_bound
 from crystalmelt.engines import engine_series
 from crystalmelt.matrixmodel import _divide_linear, _times_linear, _to_symbol
 from oracles import contiguous_steps, shifted_chamber_data
@@ -139,12 +139,39 @@ def general_product_symbols(d):
     return c3, conifold
 
 
+def oriented_symbol(spec, degree, flip):
+    """chamber_symbol with its orientation fixed: over the kept steps as they
+    are, or with every relation flipped."""
+    kept, _ = matrixmodel._cut(potential_steps(spec, degree))
+    return matrixmodel._symbol(spec.L, degree, chambers._flipped(kept) if flip else kept)
+
+
 def test_shift_and_add_symbols_match_general_products():
+    # c3 as it is and theta_n flipped, so that both lax factors are (1 + z)
     for d in range(14):
         c3, conifold = general_product_symbols(d)
-        assert chamber_symbol(c3_chamber(), d) == c3, d
+        assert oriented_symbol(c3_chamber(), d, False) == c3, d
         for n, expected in enumerate(conifold):
-            assert chamber_symbol(conifold_theta(n), d) == expected, (n, d)
+            assert oriented_symbol(conifold_theta(n), d, True) == expected, (n, d)
+
+
+def test_minus_lax_symbol_matches_the_general_product():
+    # c3 flipped: 1 / (1 - q^k z^{+-1}) for k = 1..d, then the lax
+    # 1 / (1 - z), whose z^m coefficient is the sum of the strict product's
+    # z^j over j <= m, to the window edge
+    for d in range(14):
+        w = d + 1
+        den = LaurentSymbol.identity(1, d, w)
+        for k in range(1, d + 1):
+            den = den * _linear(1, d, w, 1, (k,), -1) * _linear(1, d, w, -1, (k,), -1)
+        strict = _symbol_inverse(den)
+        coeffs, total = {}, TruncatedSeries.zero(1, d)
+        for m in range(-w, w + 1):
+            total = total + strict.coefficient(m)
+            if not total.is_zero():
+                coeffs[m] = total
+        expected = LaurentSymbol(1, d, w, coeffs)
+        assert oriented_symbol(c3_chamber(), d, True) == expected, d
 
 
 def test_symbol_inverse_is_two_sided_on_strict_symbols():
@@ -189,11 +216,12 @@ def test_divide_linear_undoes_the_linear_factor():
 def test_conifold_symbol_chamber_factor_recursion():
     # moving from theta_0 to theta_1 multiplies the symbol by (1 - q0/z)
     d = 5
+    theta = [oriented_symbol(conifold_theta(n), d, True) for n in range(3)]
     step = _linear(2, d, d + 1, -1, (1, 0), -1)
-    assert chamber_symbol(conifold_theta(1), d) == chamber_symbol(conifold_theta(0), d) * step
+    assert theta[1] == theta[0] * step
     # and theta_2 adds (1 - q0^2 q1 / z) on top
     step2 = _linear(2, d, d + 1, -1, (2, 1), -1)
-    assert chamber_symbol(conifold_theta(2), d) == chamber_symbol(conifold_theta(1), d) * step2
+    assert theta[2] == theta[1] * step2
 
 
 def test_prefactor_small_values():
@@ -219,8 +247,10 @@ def test_step_pair_prefactor_equals_the_closed_form_cn():
 
 
 def kept_bound(spec, degree):
-    """R_kept: the row bound over the kept steps of the chamber's symbol."""
-    return row_bound(matrixmodel._split_steps(spec, degree)[0], degree)
+    """R_kept: the row bound over the kept steps of the chamber's symbol, in
+    the orientation that gives the smaller one."""
+    kept, _ = matrixmodel._cut(potential_steps(spec, degree))
+    return min(row_bound(kept, degree)[0], row_bound(chambers._flipped(kept), degree)[0])
 
 
 def test_stabilized_toeplitz_identity_symbol():
@@ -233,10 +263,10 @@ def test_stabilized_toeplitz_identity_symbol():
 
 def test_stabilized_toeplitz_c3():
     d = 5
-    assert kept_bound(c3_chamber(), d) == d
-    res = stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d, d)
+    assert kept_bound(c3_chamber(), d) == isqrt(d)
+    res = stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d, isqrt(d))
     assert res.value == macmahon(d)
-    assert res.stabilized_at == d
+    assert res.stabilized_at == isqrt(d)
     # the size is proven: a larger matrix gives the same truncation
     wider = toeplitz_det(chamber_symbol(c3_chamber(), d), d + 2).truncate(d)
     assert wider == res.value
@@ -299,10 +329,12 @@ def test_stabilization_failure_is_detected():
 
 
 def test_one_size_short_fails_the_certificate():
-    # on c3 R_kept = D is attained, so the pivot after size D - 1 is not 1
+    # on c3 R_kept = floor(sqrt(D)) is attained, so the pivot after one size
+    # fewer is not 1
     for d in range(1, 9):
-        with pytest.raises(StabilizationFailureError, match=f"size {d - 1} to {d}"):
-            stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d, d - 1)
+        k = isqrt(d)
+        with pytest.raises(StabilizationFailureError, match=f"size {k - 1} to {k}"):
+            stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d, k - 1)
 
 
 def test_stabilized_toeplitz_validation():
@@ -338,6 +370,25 @@ def test_every_route_equals_product_on_every_chamber():
         assert extras["stabilized_at"] == kept_bound(spec, degree), (spec, degree)
 
 
+def lax_relation(spec, degree):
+    """The relation of a* in the Toeplitz route's orientation."""
+    kept = matrixmodel._split_steps(spec, degree).kept
+    (relation,) = [rule.relation for _, rule, e in kept if sum(e) == 0]
+    return relation
+
+
+def test_minus_lax_route_equals_the_product():
+    # the route reads c3 flipped from degree 2 on, at floor(sqrt(D)) rows, so
+    # its a* is "minus" and its lax factor 1 / (1 - z)
+    for d in range(2, 17):
+        assert lax_relation(c3_chamber(), d) == "minus", d
+        z, extras = engine_series("toeplitz", c3_chamber(), d)
+        assert z == chamber_product(c3_chamber(), d) and extras["stabilized_at"] == isqrt(d)
+    # so do 161 of the 348 scanned cases that
+    # test_every_route_equals_product_on_every_chamber checks
+    assert sum(lax_relation(spec, d) == "minus" for spec, d in scan_sample()) == 161
+
+
 def test_every_route_equals_the_contiguous_table(monkeypatch):
     # the steps priced above the degree change no configuration, pair factor
     # or path sum: over the contiguous table, a period wider on each side
@@ -345,7 +396,8 @@ def test_every_route_equals_the_contiguous_table(monkeypatch):
     # path-matrix entry is the same, on every third chamber of the scan
     def routes(spec, degree):
         out = [engine_series(name, spec, degree) for name in ("enumerate", "toeplitz", "lgv")]
-        return out + [path_matrix(walker_graph(spec, engines._walkers(spec, degree), degree))]
+        walkers, steps = engines._lgv_route(spec, degree)
+        return out + [path_matrix(lgv._walker_graph(spec.L, walkers, degree, steps))]
 
     cases = list(scan_sample())[::3]
     expected = [routes(spec, degree) for spec, degree in cases]
@@ -356,8 +408,13 @@ def test_every_route_equals_the_contiguous_table(monkeypatch):
 
     for module in (engines, enumeration, lgv, matrixmodel):
         monkeypatch.setattr(module, "potential_steps", contiguous)
-    for (spec, degree), want in zip(cases, expected):
-        assert routes(spec, degree) == want, (spec, degree)
+    # the routes' orientations and sizes must come from the contiguous table
+    clear_route_caches()
+    try:
+        for (spec, degree), want in zip(cases, expected):
+            assert routes(spec, degree) == want, (spec, degree)
+    finally:
+        clear_route_caches()
 
 
 def test_swapped_pair_rule_is_caught(monkeypatch):
@@ -373,28 +430,46 @@ def test_swapped_pair_rule_is_caught(monkeypatch):
     assert any(engine_series("toeplitz", spec, 5)[0] != chamber_product(spec, 5) for spec in scan)
 
 
+def clear_route_caches():
+    engines._lgv_route.cache_clear()
+    matrixmodel._split_steps.cache_clear()
+
+
+def toeplitz_flips(spec, degree):
+    """Whether the Toeplitz route reads the kept steps flipped."""
+    kept, _ = matrixmodel._cut(potential_steps(spec, degree))
+    return matrixmodel._split_steps(spec, degree).kept != kept
+
+
 def test_one_row_short_toeplitz_size_is_caught(monkeypatch):
-    # one row fewer than R_kept fails the certificate somewhere, and it never
-    # gives a wrong series: the pivot it checks is det T_R / det T_{R-1}
-    real = engines.row_bound
+    # one row fewer than R_kept, in either orientation, fails the certificate
+    # somewhere, and it never gives a wrong series: the pivot it checks is
+    # det T_R / det T_{R-1}
+    cases = [(spec, degree, toeplitz_flips(spec, degree)) for spec, degree in scan_sample()]
+    real = matrixmodel.row_bound
 
     def short(table, degree):
-        return max(real(table, degree) - 1, 0)
+        return tuple(max(bound - 1, 0) for bound in real(table, degree))
 
-    monkeypatch.setattr(engines, "row_bound", short)
-    failed = wrong = 0
-    for spec, degree in scan_sample():
-        try:
-            wrong += engine_series("toeplitz", spec, degree)[0] != chamber_product(spec, degree)
-        except StabilizationFailureError:
-            failed += 1
-    assert failed and not wrong, (failed, wrong)
+    monkeypatch.setattr(matrixmodel, "row_bound", short)
+    clear_route_caches()
+    failed, wrong = {False: 0, True: 0}, 0
+    try:
+        for spec, degree, flip in cases:
+            try:
+                z = engine_series("toeplitz", spec, degree)[0]
+                wrong += z != chamber_product(spec, degree)
+            except StabilizationFailureError:
+                failed[flip] += 1
+    finally:
+        clear_route_caches()
+    assert failed[False] and failed[True] and not wrong, (failed, wrong)
 
 
 def test_toeplitz_route_on_a_far_chamber():
     # theta_2000's steps priced within the degree lie thousands of slices
     # apart; the split takes the 2D + 1 of them and nothing in between
     spec = conifold_theta(2000)
-    kept, dropped = matrixmodel._split_steps(spec, 4)
+    kept, dropped, _ = matrixmodel._split_steps(spec, 4)
     assert len(kept) + len(dropped) == 2 * 4 + 1
     assert engine_series("toeplitz", spec, 4)[0] == chamber_product(spec, 4)

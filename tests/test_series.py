@@ -21,11 +21,9 @@ from crystalmelt import (
     product_over_k,
     toeplitz_det,
     walker_graph,
-    walker_path_matrix,
 )
-from crystalmelt import engines, matrixmodel
+from crystalmelt import engines, lgv, matrixmodel
 from crystalmelt import series as series_module
-from crystalmelt.chambers import row_bound
 from crystalmelt.series import _berkowitz
 from oracles import shifted_chamber_data, tuple_invert, tuple_mul, unit_pivots
 
@@ -582,17 +580,18 @@ def assert_elimination_matches_the_oracle(matrix, label):
 
 def test_unit_pivots_match_the_whole_series_oracle_on_the_route_matrices():
     # T_{R+1} as stabilized_toeplitz builds it, whose entries share one
-    # series per diagonal, and the R-walker path matrix, on every chamber of
-    # the L = 2..4 scans
+    # series per diagonal, and the lgv route's R-walker path matrix, each in
+    # its route's orientation, on every chamber of the L = 2..4 scans
     for L, shift, degree in ((2, 3, 6), (3, 2, 5), (4, 1, 4)):
         for data in shifted_chamber_data(L, shift):
             spec = ChamberSpec(*data)
-            size = row_bound(matrixmodel._split_steps(spec, degree)[0], degree) + 1
+            size = matrixmodel._split_steps(spec, degree).size + 1
             symbol = chamber_symbol(spec, degree)
             zero = TruncatedSeries.zero(L, degree)
             toeplitz = [[symbol.coeffs.get(i - j, zero) for j in range(size)] for i in range(size)]
             assert_elimination_matches_the_oracle(toeplitz, (spec, "toeplitz"))
-            walkers = walker_path_matrix(spec, engines._walkers(spec, degree), degree)
+            count, steps = engines._lgv_route(spec, degree)
+            walkers = lgv._walker_transfer(L, count, degree, steps)
             assert_elimination_matches_the_oracle(walkers, (spec, "lgv"))
 
 
