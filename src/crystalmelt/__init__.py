@@ -61,7 +61,7 @@ from .products import (
 from .serialize import (
     chamber_from_json_dict,
     chamber_to_json_dict,
-    series_to_json_dict,
+    report_to_json,
     series_to_tsv,
 )
 from .series import (
@@ -130,8 +130,8 @@ __all__ = [
     "profile_bijection_check",
     "random_curve_params",
     "random_layered_dag",
+    "report_to_json",
     "s3_equivariance_check",
-    "series_to_json_dict",
     "series_to_tsv",
     "sigma",
     "spp_identity_squared",

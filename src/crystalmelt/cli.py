@@ -7,7 +7,16 @@ route each engine takes is chosen from the chamber itself by
 engines.engine_series, so a general chamber shaped like c3 or theta_n gets
 the same routes as the named geometry. Reports are deterministic: term order,
 key order, and whitespace are fixed, so byte-identical output means
-byte-identical results.
+byte-identical results. Every JSON report goes through one writer,
+serialize.report_to_json, byte-identical to json.dumps(..., sort_keys=True,
+indent=2); an engine report carries each engine's series as it is, and the
+writer writes it straight from its terms.
+
+A process builds one parser (build_parser). The top level and its six
+sub-commands, with their names and help strings, are built up front; a
+sub-command's own arguments are added once, just before it first parses
+(_LazySubParsersAction), so a call pays only for the sub-command it runs.
+Usage, help and error texts are those of a parser built in full.
 
 Exit codes: 0 success or agreement, 1 a check or cross-engine comparison
 failed, 2 invalid input (an --out path that cannot be written included), 3
@@ -39,7 +48,7 @@ from .errors import (
 from .serialize import (
     chamber_from_json_dict,
     chamber_to_json_dict,
-    series_to_json_dict,
+    report_to_json,
     series_to_tsv,
 )
 from .spectral import (
@@ -108,22 +117,18 @@ class JobConfig:
         return chamber_from_json_dict(self.chamber)
 
 
-def run_job(cfg: JobConfig):
+def run_job(cfg: JobConfig) -> dict:
     """Run the configured engines and compare their series pairwise; returns
-    the report and each engine's series."""
+    the report, which holds each engine's TruncatedSeries as it is."""
     spec = cfg.resolve_chamber()
     engines = {}
-    series = {}
     for name in cfg.engines:
         value, extras = engine_series(name, spec, cfg.degree)
-        series[name] = value
-        entry = {"series": series_to_json_dict(value)}
-        entry.update(extras)
-        engines[name] = entry
+        engines[name] = {"series": value, **extras}
     pairwise = []
     agree = True
     for a, b in itertools.combinations(sorted(cfg.engines), 2):
-        equal = series[a] == series[b]
+        equal = engines[a]["series"] == engines[b]["series"]
         agree = agree and equal
         pairwise.append({"engines": [a, b], "equal": equal})
     chamber_echo = cfg.chamber
@@ -140,11 +145,11 @@ def run_job(cfg: JobConfig):
         "engines": engines,
         "pairwise": pairwise,
     }
-    return report, series
+    return report
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return report_to_json(payload) + "\n"
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -168,9 +173,9 @@ def _engine_command(args, default_engine: str) -> int:
         engines=engines,
         output_format=args.format,
     )
-    report, series = run_job(cfg)
+    report = run_job(cfg)
     if cfg.output_format == "tsv":
-        text = series_to_tsv(series[cfg.engines[0]])
+        text = series_to_tsv(report["engines"][cfg.engines[0]]["series"])
     else:
         text = _dump_json(report)
     _emit(text, args.out)
@@ -283,52 +288,94 @@ def _verify_command(args) -> int:
     return 0 if passed else 1
 
 
-def _add_engine_parser(sub, name: str, blurb: str):
-    p = sub.add_parser(name, help=blurb)
+class _LazySubParsersAction(argparse._SubParsersAction):
+    """Sub-parsers whose arguments are added when first dispatched to.
+
+    add_parser takes one more keyword, arguments: a function that adds the
+    sub-parser's arguments. It runs once, just before the sub-parser first
+    parses, so the texts that sub-parser prints (its usage, help and
+    errors) see every argument, while the top level's texts read only the
+    sub-commands' names and help strings, which add_parser sets up front.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending = {}
+
+    def add_parser(self, name, *, arguments, **kwargs):
+        self._pending[name] = arguments
+        return super().add_parser(name, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        arguments = self._pending.pop(values[0], None)
+        if arguments is not None:
+            arguments(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
+_ENGINE_COMMANDS = (
+    ("enumerate", "sweep partition evolutions directly"),
+    ("product", "expand the closed product form"),
+    ("toeplitz", "stabilized Toeplitz determinant route"),
+    ("lgv", "non-intersecting walker determinant route"),
+)
+
+
+def _engine_arguments(p):
     p.add_argument("--geometry", choices=("c3", "conifold", "general"), default="c3")
     p.add_argument("--chamber", help="chamber index n, or a JSON object for --geometry general")
     p.add_argument("--degree", type=int, default=6, help="truncation degree D")
     p.add_argument("--engines", help="comma list from {enumerate,product,toeplitz,lgv}, or 'all'")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--out", help="write the report to this path instead of stdout")
-    p.set_defaults(func=lambda args, default=name: _engine_command(args, default))
-    return p
+
+
+def _spectral_arguments(p):
+    p.add_argument(
+        "--check", choices=("mirror", "s3", "spp-limit", "spp-identity"), required=True
+    )
+    p.add_argument("--q", default="2/3", help="Kaehler parameter Q as a fraction")
+    p.add_argument("--mu", default="1/5", help="mass parameter as a fraction")
+    p.add_argument("--eps2", default="1/7", help="refinement parameter as a fraction")
+    p.add_argument("--trials", type=int, default=20, help="extra random parameter triples")
+    p.add_argument("--chamber", type=int, default=1, help="chamber index for spp-identity")
+    p.add_argument("--degree", type=int, default=6, help="truncation degree for spp-identity")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
+
+
+def _verify_arguments(p):
+    p.add_argument("--degree", type=int, default=12, help="degree cap for every check")
+    p.add_argument("--chamber", type=int, default=2, help="largest conifold chamber index")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out")
 
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args keeps no
-    state between calls, so every call of main shares it."""
+    state between calls, so every call of main shares it. Each sub-command's
+    arguments are added the first time it is dispatched to
+    (_LazySubParsersAction)."""
     parser = argparse.ArgumentParser(
         prog="crystalmelt",
         description="Exact partition functions of melting crystals, computed several ways",
     )
+    parser.register("action", "parsers", _LazySubParsersAction)
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_engine_parser(sub, "enumerate", "sweep partition evolutions directly")
-    _add_engine_parser(sub, "product", "expand the closed product form")
-    _add_engine_parser(sub, "toeplitz", "stabilized Toeplitz determinant route")
-    _add_engine_parser(sub, "lgv", "non-intersecting walker determinant route")
-
-    sp = sub.add_parser("spectral", help="rational checks on the mirror curve coefficients")
-    sp.add_argument(
-        "--check", choices=("mirror", "s3", "spp-limit", "spp-identity"), required=True
+    for name, blurb in _ENGINE_COMMANDS:
+        p = sub.add_parser(name, help=blurb, arguments=_engine_arguments)
+        p.set_defaults(func=lambda args, default=name: _engine_command(args, default))
+    sp = sub.add_parser(
+        "spectral",
+        help="rational checks on the mirror curve coefficients",
+        arguments=_spectral_arguments,
     )
-    sp.add_argument("--q", default="2/3", help="Kaehler parameter Q as a fraction")
-    sp.add_argument("--mu", default="1/5", help="mass parameter as a fraction")
-    sp.add_argument("--eps2", default="1/7", help="refinement parameter as a fraction")
-    sp.add_argument("--trials", type=int, default=20, help="extra random parameter triples")
-    sp.add_argument("--chamber", type=int, default=1, help="chamber index for spp-identity")
-    sp.add_argument("--degree", type=int, default=6, help="truncation degree for spp-identity")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
     sp.set_defaults(func=_spectral_command)
-
-    vp = sub.add_parser("verify", help="run the full cross-representation battery")
-    vp.add_argument("--degree", type=int, default=12, help="degree cap for every check")
-    vp.add_argument("--chamber", type=int, default=2, help="largest conifold chamber index")
-    vp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    vp.add_argument("--format", choices=("text", "json"), default="text")
-    vp.add_argument("--out")
+    vp = sub.add_parser(
+        "verify", help="run the full cross-representation battery", arguments=_verify_arguments
+    )
     vp.set_defaults(func=_verify_command)
     return parser
 

@@ -512,16 +512,17 @@ def _heights_to_partition(heights):
     return tuple(p for p in lam if p)
 
 
-def _family_verdict(steps, weights, profile, gadget_vertices, total_exp):
+def _family_verdict(steps, run_weights, profile, gadget_vertices, total_exp):
     """The reason one family fails the round trip, or None when it passes.
 
     steps is the potential step table, profile[i] the heights before step i
     (after the last step for i = len(steps)), held across the run of slices
-    from step i - 1 to step i, gadget_vertices[i] the vertices the family
-    uses crossing step i and total_exp its weight exponent vector.
+    from step i - 1 to step i, run_weights[i] the exponent vector of one box
+    on every slice of the run from step i to step i + 1 (_run_weights),
+    gadget_vertices[i] the vertices the family uses crossing step i and
+    total_exp its weight exponent vector.
     """
     walkers = len(profile[0])
-    L = len(weights)
     # strict ordering and partition validity at each slice
     lams = []
     for heights in profile:
@@ -542,14 +543,11 @@ def _family_verdict(steps, weights, profile, gadget_vertices, total_exp):
         if not ok:
             return "interlacing rule violated"
     # every slice of the run from step t to the next step u holds lam
-    class_counts = [0] * L
-    for (t, _, _), (u, _, _), lam in zip(steps, steps[1:], lams[1:]):
-        for cls, n in enumerate(residue_counts(t + 1, u + 1, L)):
-            class_counts[cls] += n * sum(lam)
-    mapped = [0] * L
-    for cls in range(L):
-        for i in range(L):
-            mapped[i] += class_counts[cls] * weights[cls][i]
+    mapped = [0] * len(total_exp)
+    for run, lam in zip(run_weights, lams[1:]):
+        boxes = sum(lam)
+        for i, e in enumerate(run):
+            mapped[i] += boxes * e
     if tuple(mapped) != total_exp:
         return "family weight disagrees with the configuration weight"
     # rebuild the paths from the profile and compare vertex sets
@@ -612,7 +610,7 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     _top(walkers, degree)
     steps = potential_steps(spec, degree)
     g = _walker_graph(spec.L, walkers, degree, steps)
-    weights = [w.exponents for w in chamber_weights(spec)]
+    run_weights = _run_weights(spec, steps)
     codec = _codec(spec.L, degree)
     order = _topological_order(g)
     least = [_least_to_sink(g, order, (b,)) for b in g.sinks]
@@ -630,7 +628,7 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
             raise OracleTooLargeError("bijection sweep exceeded the node guard")
         if i == len(steps):
             total_exp = codec.unpack(spent)
-            verdict = _family_verdict(steps, weights, profile, gadget_vertices, total_exp)
+            verdict = _family_verdict(steps, run_weights, profile, gadget_vertices, total_exp)
             if verdict is not None:
                 failures.append((verdict, profile))
             return
@@ -670,6 +668,20 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     if failures:
         return _BijectionFailure(failures[0])
     return True
+
+
+def _run_weights(spec, steps):
+    """For each run of slices from step t to the next step u, the exponent
+    vector of one box on every slice of the run: sum over the residue
+    classes of the run's slices of their class counts times the chamber
+    weight of the class, computed once per bijection check."""
+    L = spec.L
+    weights = [w.exponents for w in chamber_weights(spec)]
+    out = []
+    for (t, _, _), (u, _, _) in zip(steps, steps[1:]):
+        counts = residue_counts(t + 1, u + 1, L)
+        out.append(tuple(sum(n * w[i] for n, w in zip(counts, weights)) for i in range(L)))
+    return out
 
 
 class _BijectionFailure:

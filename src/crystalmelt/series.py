@@ -511,7 +511,8 @@ def _unit_pivots(rows):
     """Unit-pivot Gaussian elimination of the square matrix rows, in place.
 
     For each column c, the first row p >= c whose column-c entry has constant
-    term +-1 is swapped into row c, column c is cleared below it, and
+    term +-1 is swapped into row c, column c is cleared below it (at the
+    last column no row is left, so the pivot is not inverted), and
     (p, pivot) is yielded. At the first column without such a row the
     elimination stops and writes the Schur complement, as series, into
     rows[c:], columns c on; no other entry of rows is rewritten.
@@ -548,18 +549,19 @@ def _unit_pivots(rows):
         work[c], work[p] = work[p], work[c]
         pivot_row = work[c]
         pivot = series(pivot_row[c])
-        neg_inv = sorted((k, -v) for k, v in pivot.invert()._packed.items())
-        entries = [_sorted_terms(d) for d in pivot_row[c + 1 :]]
-        targets = [(j, terms) for j, terms in enumerate(entries, c + 1) if terms]
-        for row in work[c + 1 :]:
-            entry = _sorted_terms(row[c])
-            if not entry:
-                continue
-            factor = {}
-            _accumulate(factor, entry, neg_inv, cap)
-            factor = _sorted_terms(factor)
-            for j, terms in targets:
-                _accumulate(row[j], factor, terms, cap)
+        if c + 1 < n:
+            neg_inv = sorted((k, -v) for k, v in pivot.invert()._packed.items())
+            entries = [_sorted_terms(d) for d in pivot_row[c + 1 :]]
+            targets = [(j, terms) for j, terms in enumerate(entries, c + 1) if terms]
+            for row in work[c + 1 :]:
+                entry = _sorted_terms(row[c])
+                if not entry:
+                    continue
+                factor = {}
+                _accumulate(factor, entry, neg_inv, cap)
+                factor = _sorted_terms(factor)
+                for j, terms in targets:
+                    _accumulate(row[j], factor, terms, cap)
         yield p, pivot
 
 

@@ -6,7 +6,9 @@ from the package, so expectations frozen from these oracles cannot inherit a
 bug in the code under test.
 """
 
+import argparse
 import itertools
+import json
 from typing import NamedTuple
 
 
@@ -175,6 +177,84 @@ def peak_slices(spec):
 
     radius = max(map(abs, spec.theta)) // 2 + 2 * spec.L + 2
     return [p for p in range(-radius, radius + 1) if ascends(p - 1) and not ascends(p)]
+
+
+def series_to_json_dict(series):
+    """The dict form of a series in a JSON report: its variables, cutoff and
+    terms, in lexicographic exponent order with decimal string coefficients.
+    The series may be any object with num_vars, cutoff and a terms mapping."""
+    return {
+        "vars": [f"q{i}" for i in range(series.num_vars)],
+        "cutoff": series.cutoff,
+        "terms": [
+            {"exp": list(exp), "coef": str(coef)} for exp, coef in sorted(series.terms.items())
+        ],
+    }
+
+
+def report_text(payload):
+    """json.dumps(payload, sort_keys=True, indent=2) with every series in
+    the payload (any object with a terms attribute) in the dict form above:
+    the text the report writer must produce for payload."""
+
+    def form(value):
+        if hasattr(value, "terms"):
+            return series_to_json_dict(value)
+        if isinstance(value, dict):
+            return {key: form(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [form(item) for item in value]
+        return value
+
+    return json.dumps(form(payload), sort_keys=True, indent=2)
+
+
+def eager_parser():
+    """The command-line parser with every sub-command's arguments added up
+    front, as one call builds it in full: the reference for the usage, help
+    and error texts of the parser that adds them on dispatch. It parses
+    only; no sub-command carries a function to run."""
+    parser = argparse.ArgumentParser(
+        prog="crystalmelt",
+        description="Exact partition functions of melting crystals, computed several ways",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, blurb in (
+        ("enumerate", "sweep partition evolutions directly"),
+        ("product", "expand the closed product form"),
+        ("toeplitz", "stabilized Toeplitz determinant route"),
+        ("lgv", "non-intersecting walker determinant route"),
+    ):
+        p = sub.add_parser(name, help=blurb)
+        p.add_argument("--geometry", choices=("c3", "conifold", "general"), default="c3")
+        p.add_argument(
+            "--chamber", help="chamber index n, or a JSON object for --geometry general"
+        )
+        p.add_argument("--degree", type=int, default=6, help="truncation degree D")
+        p.add_argument(
+            "--engines", help="comma list from {enumerate,product,toeplitz,lgv}, or 'all'"
+        )
+        p.add_argument("--format", choices=("json", "tsv"), default="json")
+        p.add_argument("--out", help="write the report to this path instead of stdout")
+    sp = sub.add_parser("spectral", help="rational checks on the mirror curve coefficients")
+    sp.add_argument(
+        "--check", choices=("mirror", "s3", "spp-limit", "spp-identity"), required=True
+    )
+    sp.add_argument("--q", default="2/3", help="Kaehler parameter Q as a fraction")
+    sp.add_argument("--mu", default="1/5", help="mass parameter as a fraction")
+    sp.add_argument("--eps2", default="1/7", help="refinement parameter as a fraction")
+    sp.add_argument("--trials", type=int, default=20, help="extra random parameter triples")
+    sp.add_argument("--chamber", type=int, default=1, help="chamber index for spp-identity")
+    sp.add_argument("--degree", type=int, default=6, help="truncation degree for spp-identity")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out")
+    vp = sub.add_parser("verify", help="run the full cross-representation battery")
+    vp.add_argument("--degree", type=int, default=12, help="degree cap for every check")
+    vp.add_argument("--chamber", type=int, default=2, help="largest conifold chamber index")
+    vp.add_argument("--seed", type=int, default=1729)
+    vp.add_argument("--format", choices=("text", "json"), default="text")
+    vp.add_argument("--out")
+    return parser
 
 
 def read_series_json(data):

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior, exercised in-process through main()."""
 
+import functools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from crystalmelt import StabilizationFailureError, TruncatedSeries
+from crystalmelt import StabilizationFailureError, TruncatedSeries, verify_all
 from crystalmelt.cli import build_parser, main
+import crystalmelt.cli as cli_module
 import crystalmelt.engines as engines_module
+from oracles import eager_parser, report_text, shifted_chamber_data
 
 GOLDEN = Path(__file__).with_name("golden")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -213,6 +217,154 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
     assert list(json.loads(fresh[0][1])["engines"]) == ["enumerate"]
     assert list(json.loads(fresh[1][1])["engines"]) == ["toeplitz"]
     assert "invalid choice: 'neither'" in fresh[2][2]
+
+
+def parse_texts(parser, capsys, argv):
+    """(exit code, stdout, stderr) of parser.parse_args(argv) for an argv that
+    makes argparse exit: a help request or a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+PARSER_EXITS = [
+    ["--help"],
+    ["-h"],
+    ["enumerate", "--help"],
+    ["product", "-h"],
+    ["toeplitz", "--help"],
+    ["lgv", "--help"],
+    ["spectral", "--help"],
+    ["verify", "--help"],
+    [],
+    ["bogus"],
+    ["--degree", "3"],
+    ["enumerate", "--geometry", "neither"],
+    ["enumerate", "--seed", "1"],
+    ["toeplitz", "--degree", "x"],
+    ["lgv", "--format", "xml"],
+    ["product", "--engines"],
+    ["spectral"],
+    ["spectral", "--check", "nope"],
+    ["spectral", "--check", "s3", "--trials", "many"],
+    ["verify", "--format", "xml"],
+    ["verify", "--degree"],
+    ["verify", "--geometry", "c3"],
+    ["verify", "--degree", "2", "extra"],
+]
+
+
+def test_lazy_parser_texts_equal_the_eager_parser(capsys):
+    # every help, usage and error text, and its exit code, equals the fully
+    # built parser's, whatever sub-commands the process filled in before
+    oracle = eager_parser()
+    expected = [parse_texts(oracle, capsys, argv) for argv in PARSER_EXITS]
+    assert {code for code, _, _ in expected} == {0, 2}
+    order = list(range(len(PARSER_EXITS)))
+    for seed in range(4):
+        random.Random(seed).shuffle(order)
+        build_parser.cache_clear()
+        for i in order:
+            assert run_cli(capsys, *PARSER_EXITS[i]) == expected[i], PARSER_EXITS[i]
+    build_parser.cache_clear()
+
+
+def test_sub_command_arguments_are_added_on_dispatch(capsys):
+    build_parser.cache_clear()
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+
+    def filled():
+        return sorted(name for name, p in sub.choices.items() if len(p._actions) > 1)
+
+    assert filled() == []
+    run_cli(capsys, "toeplitz", "--help")
+    assert filled() == ["toeplitz"]
+    run_cli(capsys, "verify", "--degree", "x")
+    run_cli(capsys, "toeplitz", "--geometry", "neither")
+    assert filled() == ["toeplitz", "verify"]
+    assert len(sub.choices["toeplitz"]._actions) == 7  # -h and six options, added once
+    build_parser.cache_clear()
+
+
+def spy_reports(monkeypatch):
+    """Record every payload the CLI hands the report writer, with its text."""
+    seen = []
+    writer = cli_module.report_to_json
+
+    def recording(payload):
+        text = writer(payload)
+        seen.append((payload, text))
+        return text
+
+    monkeypatch.setattr(cli_module, "report_to_json", recording)
+    return seen
+
+
+def assert_reports_match_the_oracle(monkeypatch, capsys, calls):
+    """Run each argv; its stdout must be the writer's text, and that text the
+    stdlib's for the same payload. Returns each call's exit code and payload."""
+    seen = spy_reports(monkeypatch)
+    results = []
+    for argv in calls:
+        seen.clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert err == "" and len(seen) == 1, argv
+        payload, text = seen[0]
+        assert out == text + "\n", argv
+        assert text == report_text(payload), argv
+        results.append((code, payload))
+    return results
+
+
+def test_engine_reports_match_the_oracle_on_the_scanned_chambers(monkeypatch, capsys):
+    calls = [["toeplitz", "--geometry", "c3", "--degree", "8", "--engines", "all"]]
+    calls += [
+        ["lgv", "--geometry", "conifold", "--chamber", str(n), "--degree", "7",
+         "--engines", "all"]
+        for n in range(4)
+    ]
+    for L, shift, degree in ((2, 3, 6), (3, 2, 5), (4, 1, 4)):
+        for _, rho, theta in shifted_chamber_data(L, shift):
+            chamber = json.dumps({"L": L, "rho": list(rho), "theta": list(theta)})
+            calls.append(
+                ["enumerate", "--geometry", "general", "--chamber", chamber,
+                 "--degree", str(degree), "--engines", "all"]
+            )
+    assert len(calls) > 240
+    results = assert_reports_match_the_oracle(monkeypatch, capsys, calls)
+    assert {code for code, _ in results} == {0}
+
+
+def test_verify_and_spectral_reports_match_the_oracle(monkeypatch, capsys):
+    verify = ["verify", "--degree", "4", "--chamber", "1", "--format", "json"]
+    spectral = [
+        ["spectral", "--check", "mirror"],
+        ["spectral", "--check", "s3", "--trials", "2"],
+        ["spectral", "--check", "spp-limit", "--trials", "2"],
+        ["spectral", "--check", "spp-identity", "--chamber", "1", "--degree", "3"],
+    ]
+    results = assert_reports_match_the_oracle(monkeypatch, capsys, [verify] + spectral)
+    assert [code for code, _ in results] == [0] * 5
+    # a counterexample in the battery, and failed trials carrying a permutation tuple
+    monkeypatch.setattr(cli_module, "verify_all", functools.partial(verify_all, fault=(6, (1,))))
+
+    class Failed:
+        permutation = (2, 0, 1)
+
+        def __bool__(self):
+            return False
+
+    monkeypatch.setattr(cli_module, "s3_equivariance_check", lambda params: Failed())
+    (code, battery), (s3_code, s3) = assert_reports_match_the_oracle(
+        monkeypatch, capsys, [verify, spectral[1]]
+    )
+    assert (code, s3_code) == (1, 1)
+    assert [r["name"] for r in battery["results"] if r["counterexamples"]] == [
+        battery["results"][5]["name"]
+    ]
+    assert [f["permutation"] for f in s3["failures"]] == [(2, 0, 1)] * 3
 
 
 def test_help_exits_0(capsys):

@@ -8,10 +8,10 @@ from crystalmelt import (
     chamber_from_json_dict,
     chamber_to_json_dict,
     conifold_theta,
-    series_to_json_dict,
+    report_to_json,
     series_to_tsv,
 )
-from oracles import read_series_json
+from oracles import read_series_json, report_text
 
 
 def random_series(rng, num_vars, cutoff):
@@ -27,12 +27,12 @@ def test_series_json_round_trip():
     rng = random.Random(140)
     for _ in range(60):
         f = random_series(rng, rng.randint(1, 3), rng.randint(0, 9))
-        assert TruncatedSeries(*read_series_json(series_to_json_dict(f))) == f
+        assert TruncatedSeries(*read_series_json(json.loads(report_to_json(f)))) == f
 
 
 def test_series_json_layout():
     f = TruncatedSeries(2, 4, {(2, 1): -7, (0, 0): 1, (1, 1): 12})
-    d = series_to_json_dict(f)
+    d = json.loads(report_to_json(f))
     assert d["vars"] == ["q0", "q1"]
     assert d["cutoff"] == 4
     # terms sorted lexicographically by exponent vector, coefficients as strings
@@ -44,18 +44,60 @@ def test_series_json_layout():
 
 
 def test_series_json_is_byte_stable():
+    # equal series built from their terms in opposite orders write the same bytes
     rng = random.Random(17)
     f = random_series(rng, 2, 6)
-    a = json.dumps(series_to_json_dict(f), sort_keys=True)
-    b = json.dumps(series_to_json_dict(f), sort_keys=True)
-    assert a == b
+    g = TruncatedSeries(2, 6, dict(reversed(list(f.terms.items()))))
+    assert g == f
+    assert report_to_json(f) == report_to_json(g)
 
 
 def test_series_json_validates_arity():
-    d = series_to_json_dict(TruncatedSeries.one(2, 3))
+    d = json.loads(report_to_json(TruncatedSeries.one(2, 3)))
     d["terms"] = [{"exp": [1], "coef": "1"}]
     with pytest.raises(ValueError):
         read_series_json(d)
+
+
+def test_writer_matches_the_stdlib_on_series_payloads():
+    big = 10**60
+    series = [
+        TruncatedSeries.zero(1, 0),
+        TruncatedSeries.zero(3, 5),
+        TruncatedSeries.one(1, 0),
+        TruncatedSeries(1, 4, {(0,): -1, (3,): big, (4,): -big}),
+        TruncatedSeries(2, 4, {(2, 1): -7, (0, 0): 1, (1, 1): 12, (0, 4): big}),
+        TruncatedSeries(4, 3, {(0, 0, 0, 3): -big, (1, 0, 2, 0): 5, (3, 0, 0, 0): 2}),
+    ]
+    rng = random.Random(25)
+    series += [random_series(rng, rng.randint(1, 4), rng.randint(0, 9)) for _ in range(40)]
+    for f in series:
+        # the same series at several depths, in dicts, lists and tuples
+        for payload in (
+            f,
+            [f],
+            {"series": f},
+            {"engines": {"a": {"series": f, "stabilized_at": 3}}, "ok": True},
+            [{"x": [f, (f, None)]}, [], {}, (), -big, False],
+        ):
+            assert report_to_json(payload) == report_text(payload), (f, payload)
+
+
+def test_writer_matches_the_stdlib_on_strings():
+    strings = ["", "plain", 'quote " and \\ backslash', "tab\tnewline\nnul\x00",
+               "\x1f\x7f", "caf\u00e9", "\u2028\u2029", "snow \u2603", "\U0001F600 face",
+               "/slash", "\ud800 lone surrogate"]
+    payload = {s: [s, {s: s}] for s in strings}
+    payload["list"] = strings
+    assert report_to_json(payload) == report_text(payload)
+    for s in strings:
+        assert report_to_json(s) == json.dumps(s)
+
+
+def test_writer_rejects_values_outside_the_report_types():
+    for payload in ({"a": object()}, [1.5], {1: "int key"}, {("a",): 1}):
+        with pytest.raises(TypeError):
+            report_to_json(payload)
 
 
 def test_series_tsv_golden():
