@@ -21,7 +21,6 @@ from crystalmelt import (
     conifold_theta,
     macmahon,
     stabilized_toeplitz,
-    toeplitz_det,
 )
 from crystalmelt.engines import engine_series
 
@@ -35,9 +34,7 @@ def march(spec, target, label):
     result = stabilized_toeplitz(symbol, DEGREE, size)
     prev = None
     for n in range(1, size + 2):
-        det = result.history.get(n)
-        if det is None:
-            det = toeplitz_det(symbol, n).truncate(DEGREE)
+        det = result.history[n]
         marks = []
         if prev is not None and det == prev:
             marks.append("= previous")

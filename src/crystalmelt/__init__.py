@@ -41,7 +41,6 @@ from .lgv import (
     profile_bijection_check,
     random_layered_dag,
     walker_graph,
-    walker_path_matrix,
 )
 from .matrixmodel import (
     MatrixModelResult,
@@ -70,7 +69,6 @@ from .series import (
     binomial_factor,
     det_division_free,
     product_over_k,
-    toeplitz_det,
 )
 from .spectral import (
     CurveCoefficients,
@@ -140,8 +138,6 @@ __all__ = [
     "stabilized_toeplitz",
     "theta_inverse",
     "theta_value",
-    "toeplitz_det",
     "verify_all",
     "walker_graph",
-    "walker_path_matrix",
 ]

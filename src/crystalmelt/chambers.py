@@ -65,10 +65,6 @@ class WeightMonomial:
 
     exponents: tuple
 
-    @property
-    def total_degree(self):
-        return sum(self.exponents)
-
 
 def c3_chamber():
     return ChamberSpec(1, (1,), (1,))

@@ -18,7 +18,7 @@ verify_all takes the product and Toeplitz values it checks from here.
   chamber. Its size is chambers.row_bound over the symbol's kept steps,
   certified by one more pivot (matrixmodel.stabilized_toeplitz).
 - lgv: the determinant of the walker path matrix, summed by in-place
-  transfer over the potential step table (lgv.walker_path_matrix), for
+  transfer over the potential step table (lgv._walker_transfer), for
   every chamber, with chambers.row_bound of that table as the walker count.
 
 Both determinant routes read their table in whichever orientation needs

@@ -4,7 +4,10 @@ A configuration is a bi-infinite partition sequence, empty at both ends,
 obeying the chamber's interlacing rule at every step. The sweep walks the
 steps of the potential step table (chambers.potential_steps), the 2D + 1
 steps priced within the degree D, once, with a frontier of states (current
-partition, monomial paid so far) and multiplicity counts.
+partition, monomial paid so far) and multiplicity counts. It takes the table
+in its caller's orientation, as the determinant routes do: enumerate_z reads
+it as it is, enumerate_z_transposed with every relation flipped
+(chambers._flipped), and everything below holds for either.
 
 Runs: the table's lemma proves that a configuration of degree <= D changes
 across no other step, so it is empty before the table's first step and after
@@ -82,7 +85,7 @@ after t nothing but the empty partition closes, and nothing grows.
 from functools import lru_cache
 from itertools import groupby, product
 
-from .chambers import potential_steps
+from .chambers import _flipped, potential_steps
 from .partitions import interlace_minus, interlace_plus
 from .series import TruncatedSeries, _codec
 
@@ -222,14 +225,18 @@ def _cheapest_drops(rules, pot):
     return c
 
 
-def _sweep(spec, degree, transposed, max_rows):
-    """The configurations of degree <= degree counted by their monomials, as
-    {packed key of the ring (spec.L, degree): number of configurations}, in
-    one pass over the potential step table (module docstring)."""
-    table = potential_steps(spec, degree)
-    rules = [rule.flipped() if transposed else rule for _, rule, _ in table]
+def _sweep(L, degree, table, max_rows=None):
+    """The configurations of degree <= degree over a step table counted by
+    their monomials, as a series in L variables, in one pass (module
+    docstring); with max_rows, only those with at most max_rows rows in
+    every slice. The table is the potential step table in either
+    orientation: as it is, or with every relation flipped, which transposes
+    every slice (chambers._flipped)."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    rules = [rule for _, rule, _ in table]
     pot = [sum(e) for _, _, e in table]
-    codec = _codec(spec.L, degree)
+    codec = _codec(L, degree)
     shift = codec.shift
     keys = [codec.pack(e) for _, _, e in table]
     c = _cheapest_drops(rules, pot)
@@ -280,23 +287,17 @@ def _sweep(spec, degree, transposed, max_rows):
                         key += step
                         bucket[key] = bucket.get(key, 0) + count
         frontier = new
-    return frontier.get((), {})
-
-
-def _enumerate(spec, degree, transposed, max_rows=None):
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    return TruncatedSeries._trusted(spec.L, degree, _sweep(spec, degree, transposed, max_rows))
+    return TruncatedSeries._trusted(L, degree, frontier.get((), {}))
 
 
 def enumerate_z(spec, degree):
     """Z as an exact truncated series: one term per configuration monomial."""
-    return _enumerate(spec, degree, transposed=False)
+    return _sweep(spec.L, degree, potential_steps(spec, degree))
 
 
 def enumerate_z_transposed(spec, degree):
     """Same sum with every rule's relation flipped (all slices transposed)."""
-    return _enumerate(spec, degree, transposed=True)
+    return _sweep(spec.L, degree, _flipped(potential_steps(spec, degree)))
 
 
 def enumerate_z_rows(spec, degree, max_rows):
@@ -305,4 +306,4 @@ def enumerate_z_rows(spec, degree, max_rows):
     walker cross-checks compare against it."""
     if max_rows < 0:
         raise ValueError("max_rows must be >= 0")
-    return _enumerate(spec, degree, transposed=False, max_rows=max_rows)
+    return _sweep(spec.L, degree, potential_steps(spec, degree), max_rows)

@@ -29,10 +29,9 @@ Orientation. Flipping every relation of the table transposes every slice,
 so its walkers count columns, and the sum is the same Z. The lgv route reads
 the table in whichever orientation has the smaller row bound
 (engines._lgv_route); _walker_transfer and _walker_graph take the table in
-either orientation, and walker_path_matrix and walker_graph read it as it
-is.
+the caller's orientation, and walker_graph reads it as it is.
 
-Transfer lemma. walker_path_matrix reads the same table without building a
+Transfer lemma. _walker_transfer reads the same table without building a
 graph. A source's row is a vector over the heights 0..walkers-1+D, one path
 sum per height, and each step updates it in place. A straight edge is the
 identity, so only the rise or drop edges do work: with lift = +1 on
@@ -370,16 +369,10 @@ def _least_by_step(steps, walkers, hmax):
     return least
 
 
-def walker_path_matrix(spec, walkers, degree):
-    """path_matrix(walker_graph(spec, walkers, degree)), entry for entry,
-    summed by in-place transfer over the step table without building the
-    graph (the transfer lemma in the module docstring)."""
-    _top(walkers, degree)
-    return _walker_transfer(spec.L, walkers, degree, potential_steps(spec, degree))
-
-
 def _walker_transfer(L, walkers, degree, steps):
-    """walker_path_matrix over a step table in either orientation: the
+    """path_matrix(_walker_graph(L, walkers, degree, steps)), entry for
+    entry, summed by in-place transfer over the step table without building
+    the graph (the transfer lemma in the module docstring); steps is the
     potential step table as it is or with every relation flipped."""
     hmax = _top(walkers, degree)
     least = _least_by_step(steps, walkers, hmax)
@@ -428,10 +421,9 @@ def walker_graph(spec, walkers, degree):
     weights over that range; the rise edge carries x^{e_s} and the fall edge
     x^{e_s'} of chambers.potential_steps, which multiply to exactly that. The
     graph spans only the steps of that table (the module docstring). The lgv
-    route sums the same paths without this graph (walker_path_matrix); the
+    route sums the same paths without this graph (_walker_transfer); the
     graph stays as its oracle.
     """
-    _top(walkers, degree)
     return _walker_graph(spec.L, walkers, degree, potential_steps(spec, degree))
 
 
@@ -607,7 +599,6 @@ def profile_bijection_check(spec, walkers, degree, node_guard=5_000_000):
     node_guard caps the number of nodes entered; past it the search raises
     OracleTooLargeError.
     """
-    _top(walkers, degree)
     steps = potential_steps(spec, degree)
     g = _walker_graph(spec.L, walkers, degree, steps)
     run_weights = _run_weights(spec, steps)

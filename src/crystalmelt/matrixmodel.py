@@ -79,8 +79,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import prod
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 from typing import NamedTuple
 
 from .chambers import _flipped, row_bound, potential_steps
@@ -92,12 +92,13 @@ class MatrixModelResult(NamedTuple):
     """Outcome of a stabilized determinant run.
 
     value is the determinant shared by sizes stabilized_at and
-    stabilized_at + 1; history maps those two sizes to their determinants.
+    stabilized_at + 1; history[k] is det T_k for every k from 0 (det T_0 = 1)
+    to stabilized_at + 1.
     """
 
     value: TruncatedSeries
     stabilized_at: int
-    history: dict
+    history: list
 
 
 def _times_linear(coeffs: dict, cutoff: int, window: int, zpow: int, exps, sign: int) -> dict:
@@ -274,7 +275,8 @@ def stabilized_toeplitz(f: LaurentSymbol, degree: int, size: int) -> MatrixModel
     StabilizationFailureError is raised unless every column takes its own row
     (the q = 0 lemma) and u_{size+1} is 1 at the cutoff, that is, unless
     det T_{size+1} = det T_size u_{size+1} equals det T_size (see the module
-    docstring)."""
+    docstring). The running products of the pivots are the history:
+    det T_k = u_1 ... u_k for every k <= size + 1."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if size < 0:
@@ -294,10 +296,12 @@ def stabilized_toeplitz(f: LaurentSymbol, degree: int, size: int) -> MatrixModel
             f"Toeplitz section of size {len(pivots) + 1} has a pivot that is not a unit"
         )
     one = TruncatedSeries.one(f.num_vars, degree)
-    det = prod(pivots[:size], start=one)
+    history = list(accumulate(pivots[:size], mul, initial=one))
     if pivots[size] != one:
         raise StabilizationFailureError(
             f"Toeplitz determinant changes from size {size} to {size + 1}: "
             f"the pivot u_{size + 1} is not 1 to degree {degree}"
         )
-    return MatrixModelResult(det, size, {size: det, size + 1: det})
+    det = history[size]
+    history.append(det)  # det T_{size+1} = det T_size u_{size+1}, and u_{size+1} = 1
+    return MatrixModelResult(det, size, history)

@@ -621,11 +621,3 @@ def _berkowitz(matrix) -> TruncatedSeries:
         p = p_new
     det = p[n]
     return det if n % 2 == 0 else -det
-
-
-def toeplitz_det(f: LaurentSymbol, N: int) -> TruncatedSeries:
-    """det of the N x N matrix with entries G_{i-j} taken from the symbol f."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    matrix = [[f.coefficient(i - j) for j in range(N)] for i in range(N)]
-    return det_division_free(matrix)

@@ -270,11 +270,12 @@ def test_row_bound_is_the_least_sufficient_row_count():
         table = potential_steps(spec, d)
         bounds = row_bound(table, d)
         assert row_bound(chambers._flipped(table), d) == bounds[::-1], (spec, d)
-        for transposed, bound in zip((False, True), bounds):
-            assert enumeration._enumerate(spec, d, transposed, bound) == z, (spec, d)
+        for flip, bound in zip((False, True), bounds):
+            oriented = chambers._flipped(table) if flip else table
+            assert enumeration._sweep(spec.L, d, oriented, bound) == z, (spec, d)
             if bound:
-                short = enumeration._enumerate(spec, d, transposed, bound - 1)
-                assert short != z, (spec, d, transposed)
+                short = enumeration._sweep(spec.L, d, oriented, bound - 1)
+                assert short != z, (spec, d, flip)
 
 
 def test_row_bound_holds_every_configuration():

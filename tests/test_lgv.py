@@ -23,7 +23,6 @@ from crystalmelt import (
     profile_bijection_check,
     random_layered_dag,
     walker_graph,
-    walker_path_matrix,
 )
 from crystalmelt import WeightedDag, chamber_product, chamber_weights, chambers, engines
 from crystalmelt import enumeration, lgv
@@ -484,6 +483,10 @@ def graph_matrix(spec, walkers, degree):
     return path_matrix(walker_graph(spec, walkers, degree))
 
 
+def transfer_matrix(spec, walkers, degree):
+    return lgv._walker_transfer(spec.L, walkers, degree, potential_steps(spec, degree))
+
+
 def transfer_cases():
     """(spec, walkers, degree) over c3 and theta_0 at degree 0-8 with 1, 2,
     D and D + 1 walkers."""
@@ -498,7 +501,7 @@ def transfer_cases():
 def test_walker_path_matrix_equals_the_graph_path_matrix():
     for spec, walkers, degree in transfer_cases():
         expected = graph_matrix(spec, walkers, degree)
-        assert walker_path_matrix(spec, walkers, degree) == expected, (spec.L, walkers, degree)
+        assert transfer_matrix(spec, walkers, degree) == expected, (spec.L, walkers, degree)
 
 
 def test_walker_transfer_equals_the_graph_on_flipped_tables():
@@ -544,7 +547,7 @@ def test_walker_path_matrix_on_single_peak_chambers():
         for degree in (3, 5):
             for walkers in (1, rng.randint(2, degree + 1), degree):
                 expected = graph_matrix(spec, walkers, degree)
-                got = walker_path_matrix(spec, walkers, degree)
+                got = transfer_matrix(spec, walkers, degree)
                 assert got == expected, (spec, walkers, degree)
             assert det_division_free(got) == chamber_product(spec, degree), (spec, degree)
 
@@ -554,7 +557,7 @@ def test_walker_path_matrix_rejects_what_walker_graph_rejects():
         with pytest.raises(ValueError) as expected:
             walker_graph(c3_chamber(), walkers, degree)
         with pytest.raises(ValueError) as got:
-            walker_path_matrix(c3_chamber(), walkers, degree)
+            transfer_matrix(c3_chamber(), walkers, degree)
         assert str(got.value) == str(expected.value), (walkers, degree)
 
 
@@ -573,7 +576,7 @@ def transfer_differs(monkeypatch, name, replacement):
     with monkeypatch.context() as m:
         m.setattr(lgv, name, replacement)
         return any(
-            walker_path_matrix(spec, walkers, degree) != graph_matrix(spec, walkers, degree)
+            transfer_matrix(spec, walkers, degree) != graph_matrix(spec, walkers, degree)
             for spec, walkers, degree in transfer_cases()
         )
 

@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from itertools import accumulate
 from math import isqrt
 
 import pytest
@@ -25,13 +26,13 @@ from crystalmelt import (
     path_matrix,
     product_over_k,
     stabilized_toeplitz,
-    toeplitz_det,
 )
 from crystalmelt import chambers, engines, enumeration, lgv, matrixmodel, series
 from crystalmelt.chambers import potential_steps, row_bound
 from crystalmelt.engines import engine_series
 from crystalmelt.matrixmodel import _divide_linear, _times_linear, _to_symbol
 from oracles import contiguous_steps, shifted_chamber_data
+from test_series import section_det
 
 
 def closed_form_cn(n, cutoff):
@@ -258,7 +259,7 @@ def test_stabilized_toeplitz_identity_symbol():
     res = stabilized_toeplitz(ident, 4, 3)
     assert res.value == TruncatedSeries.one(1, 4)
     assert res.stabilized_at == 3
-    assert sorted(res.history) == [3, 4]
+    assert res.history == [TruncatedSeries.one(1, 4)] * 5
 
 
 def test_stabilized_toeplitz_c3():
@@ -268,16 +269,52 @@ def test_stabilized_toeplitz_c3():
     assert res.value == macmahon(d)
     assert res.stabilized_at == isqrt(d)
     # the size is proven: a larger matrix gives the same truncation
-    wider = toeplitz_det(chamber_symbol(c3_chamber(), d), d + 2).truncate(d)
+    wider = section_det(chamber_symbol(c3_chamber(), d), d + 2).truncate(d)
     assert wider == res.value
 
 
-def test_stabilized_toeplitz_history_records_the_plateau():
-    # the history holds the given size and the next one, which certifies it
-    d = 4
-    res = stabilized_toeplitz(chamber_symbol(c3_chamber(), d), d, d)
-    assert sorted(res.history) == [d, d + 1]
-    assert res.history[d] == res.history[d + 1] == res.value
+def ladder_cases():
+    """(chamber, degree): c3 at degree 0-12, theta_0..theta_3 at 0-9, and
+    the L = 2 |shift| <= 3 scan at degree 6, L = 3 <= 2 at 5, L = 4 <= 1 at 4."""
+    cases = [(c3_chamber(), d) for d in range(13)]
+    cases += [(conifold_theta(n), d) for n in range(4) for d in range(10)]
+    for L, shift, degree in ((2, 3, 6), (3, 2, 5), (4, 1, 4)):
+        cases += [(ChamberSpec(*data), degree) for data in shifted_chamber_data(L, shift)]
+    return cases
+
+
+def ladder_mismatches():
+    """(rungs checked, rungs that differ from the explicit section): over
+    ladder_cases, history[k] of the route's own run against det T_k for
+    every k <= size + 1, and history[size] against the value."""
+    rungs = bad = 0
+    for spec, d in ladder_cases():
+        f = chamber_symbol(spec, d)
+        size = matrixmodel._split_steps(spec, d).size
+        res = stabilized_toeplitz(f, d, size)
+        assert len(res.history) == size + 2, (spec, d)
+        bad += res.history[size] != res.value
+        bad += res.history[0] != TruncatedSeries.one(spec.L, d)
+        for k in range(1, size + 2):
+            rungs += 1
+            bad += res.history[k] != section_det(f, k).truncate(d)
+    return rungs, bad
+
+
+def test_stabilized_toeplitz_history_is_the_determinant_ladder():
+    # one elimination gives det T_k for every k up to the certified size + 1
+    cases = ladder_cases()
+    assert len(cases) == 297
+    assert ladder_mismatches() == (801, 0)
+
+
+def test_a_ladder_that_skips_a_pivot_is_caught(monkeypatch):
+    # u_1 left out of the running products: every rung from T_1 on misses it
+    def skip_first(pivots, op, initial):
+        return accumulate([initial] + pivots[1:] if pivots else [], op, initial=initial)
+
+    monkeypatch.setattr(matrixmodel, "accumulate", skip_first)
+    assert ladder_mismatches()[1]
 
 
 def test_unit_pivots_match_per_size_determinants():
@@ -297,7 +334,7 @@ def test_unit_pivots_match_per_size_determinants():
                 assert p == taken, (name, d, taken)
                 taken += 1
                 det = det * pivot
-                assert det == toeplitz_det(f, taken).truncate(d), (name, d, taken)
+                assert det == section_det(f, taken).truncate(d), (name, d, taken)
             assert taken == n, (name, d)
 
 

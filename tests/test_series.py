@@ -19,13 +19,17 @@ from crystalmelt import (
     det_division_free,
     path_matrix,
     product_over_k,
-    toeplitz_det,
     walker_graph,
 )
 from crystalmelt import engines, lgv, matrixmodel
 from crystalmelt import series as series_module
 from crystalmelt.series import _berkowitz
 from oracles import shifted_chamber_data, tuple_invert, tuple_mul, unit_pivots
+
+
+def section_det(f, n):
+    """det of the explicit n x n Toeplitz section G_{i-j} of the symbol f."""
+    return det_division_free([[f.coefficient(i - j) for j in range(n)] for i in range(n)])
 
 
 def random_series(rng, num_vars, cutoff, max_terms=6, unit=False):
@@ -330,7 +334,7 @@ def test_det_division_free_matches_berkowitz_on_engine_matrices():
         f = chamber_symbol(spec, d)
         for size in range(1, d + 3):
             m = [[f.coefficient(i - j) for j in range(size)] for i in range(size)]
-            assert toeplitz_det(f, size) == _berkowitz(m)
+            assert section_det(f, size) == _berkowitz(m)
     for spec, degree in ((c3_chamber(), 5), (conifold_theta(0), 4)):
         for walkers in (degree, degree + 1):
             m = path_matrix(walker_graph(spec, walkers, degree))
@@ -354,16 +358,6 @@ def test_det_of_identity_and_swapped_rows():
     assert det_division_free([eye[1], eye[0]]) == -one
 
 
-def test_toeplitz_det_against_explicit_matrix():
-    rng = random.Random(777)
-    for _ in range(20):
-        coeffs = {m: random_series(rng, 1, 4) for m in range(-3, 4)}
-        f = LaurentSymbol(1, 4, 6, coeffs)
-        n = rng.randint(1, 4)
-        explicit = [[f.coefficient(i - j) for j in range(n)] for i in range(n)]
-        assert toeplitz_det(f, n) == det_division_free(explicit)
-
-
 def test_toeplitz_det_reflection_gives_the_transpose():
     rng = random.Random(31337)
     for _ in range(20):
@@ -371,7 +365,7 @@ def test_toeplitz_det_reflection_gives_the_transpose():
         f = LaurentSymbol(1, 3, 5, coeffs)
         reflected = LaurentSymbol(1, 3, 5, {-m: s for m, s in coeffs.items()})
         n = rng.randint(1, 4)
-        assert toeplitz_det(f, n) == toeplitz_det(reflected, n)
+        assert section_det(f, n) == section_det(reflected, n)
 
 
 # -- packed keys against the tuple-key oracle ---------------------------------
