@@ -18,23 +18,23 @@ sub-command's own arguments are added once, just before it first parses
 (_LazySubParsersAction), so a call pays only for the sub-command it runs.
 Usage, help and error texts are those of a parser built in full.
 
+Importing this module loads argparse, sys, functools and .errors, and no
+engine. Each handler imports what it runs, where it runs: an engine command
+loads engines (every route), chambers and serialize; spectral loads
+spectral, random and fractions; verify loads verify, which loads the rest,
+and json. So --help loads no engine, and product or toeplitz loads neither
+verify nor spectral. A name imported inside a function is read from its
+module at each call, so a wrapper or patch set on that module is seen.
+
 Exit codes: 0 success or agreement, 1 a check or cross-engine comparison
 failed, 2 invalid input (an --out path that cannot be written included), 3
 an internal guard tripped (the Toeplitz size certificate or oracle size).
 """
 
 import argparse
-import itertools
-import json
-import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
 
-from .chambers import ChamberSpec, c3_chamber, conifold_theta
-from .engines import ENGINES, engine_series
 from .errors import (
     DimensionError,
     InvalidGraphError,
@@ -45,21 +45,6 @@ from .errors import (
     StabilizationFailureError,
     UnsupportedChamberError,
 )
-from .serialize import (
-    chamber_from_json_dict,
-    chamber_to_json_dict,
-    report_to_json,
-    series_to_tsv,
-)
-from .spectral import (
-    CurveParams,
-    mirror_map,
-    random_curve_params,
-    s3_equivariance_check,
-    spp_identity_squared,
-    spp_limit_check,
-)
-from .verify import DEFAULT_SEED, verify_all
 
 _INVALID_INPUT = (
     UnsupportedChamberError,
@@ -77,32 +62,44 @@ _INTERNAL_LIMIT = (
 )
 
 
-@dataclass(frozen=True)
 class JobConfig:
-    geometry: str
-    chamber: object = 0
-    degree: int = 0
-    engines: Tuple[str, ...] = ("enumerate",)
-    output_format: str = "json"
+    """One engine run's settings, checked when made."""
 
-    def __post_init__(self):
-        if self.geometry not in ("c3", "conifold", "general"):
-            raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.degree < 0:
+    def __init__(
+        self,
+        geometry: str,
+        chamber: object = 0,
+        degree: int = 0,
+        engines: tuple[str, ...] = ("enumerate",),
+        output_format: str = "json",
+    ):
+        from .engines import ENGINES
+
+        self.geometry = geometry
+        self.chamber = chamber
+        self.degree = degree
+        self.engines = engines
+        self.output_format = output_format
+        if geometry not in ("c3", "conifold", "general"):
+            raise ValueError(f"unknown geometry {geometry!r}")
+        if degree < 0:
             raise ValueError("degree must be >= 0")
-        if not self.engines:
+        if not engines:
             raise ValueError("at least one engine is required")
-        for name in self.engines:
+        for name in engines:
             if name not in ENGINES:
                 raise ValueError(f"unknown engine {name!r}")
-        if len(set(self.engines)) != len(self.engines):
+        if len(set(engines)) != len(engines):
             raise ValueError("duplicate engine in list")
-        if self.output_format not in ("json", "tsv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.output_format == "tsv" and len(self.engines) != 1:
+        if output_format not in ("json", "tsv"):
+            raise ValueError(f"unknown output format {output_format!r}")
+        if output_format == "tsv" and len(engines) != 1:
             raise ValueError("tsv output supports exactly one engine")
 
-    def resolve_chamber(self) -> ChamberSpec:
+    def resolve_chamber(self):
+        from .chambers import c3_chamber, conifold_theta
+        from .serialize import chamber_from_json_dict
+
         if self.geometry == "c3":
             if self.chamber not in (0, None):
                 raise ValueError("the c3 geometry has a single chamber; omit --chamber")
@@ -120,6 +117,11 @@ class JobConfig:
 def run_job(cfg: JobConfig) -> dict:
     """Run the configured engines and compare their series pairwise; returns
     the report, which holds each engine's TruncatedSeries as it is."""
+    import itertools
+
+    from .engines import engine_series
+    from .serialize import chamber_to_json_dict
+
     spec = cfg.resolve_chamber()
     engines = {}
     for name in cfg.engines:
@@ -149,10 +151,12 @@ def run_job(cfg: JobConfig) -> dict:
 
 
 def _dump_json(payload) -> str:
+    from .serialize import report_to_json
+
     return report_to_json(payload) + "\n"
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -175,6 +179,8 @@ def _engine_command(args, default_engine: str) -> int:
     )
     report = run_job(cfg)
     if cfg.output_format == "tsv":
+        from .serialize import series_to_tsv
+
         text = series_to_tsv(report["engines"][cfg.engines[0]]["series"])
     else:
         text = _dump_json(report)
@@ -182,11 +188,13 @@ def _engine_command(args, default_engine: str) -> int:
     return 0 if report["agreement"] else 1
 
 
-def _parse_chamber(geometry: str, raw: Optional[str]):
+def _parse_chamber(geometry: str, raw: str | None):
     if raw is None:
         return 0 if geometry != "general" else None
     raw = raw.strip()
     if geometry == "general":
+        import json
+
         parsed = json.loads(raw)
         if not isinstance(parsed, dict):
             raise ValueError("general chamber must be a JSON object with L, rho, theta")
@@ -194,17 +202,21 @@ def _parse_chamber(geometry: str, raw: Optional[str]):
     return int(raw)
 
 
-def _parse_engines(raw: Optional[str], default_engine: str) -> Tuple[str, ...]:
+def _parse_engines(raw: str | None, default_engine: str) -> tuple[str, ...]:
     if raw is None:
         return (default_engine,)
     raw = raw.strip()
     if raw == "all":
+        from .engines import ENGINES
+
         return ENGINES
     names = tuple(part.strip() for part in raw.split(",") if part.strip())
     return names
 
 
-def _parse_fraction(label: str, raw: str) -> Fraction:
+def _parse_fraction(label: str, raw: str):
+    from fractions import Fraction
+
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
@@ -212,6 +224,17 @@ def _parse_fraction(label: str, raw: str) -> Fraction:
 
 
 def _spectral_command(args) -> int:
+    import random
+
+    from .spectral import (
+        CurveParams,
+        mirror_map,
+        random_curve_params,
+        s3_equivariance_check,
+        spp_identity_squared,
+        spp_limit_check,
+    )
+
     if args.trials < 0:
         raise ValueError("--trials must be >= 0")
     rng_params = CurveParams(
@@ -259,6 +282,10 @@ def _spectral_command(args) -> int:
 
 
 def _verify_command(args) -> int:
+    import json
+
+    from .verify import verify_all
+
     results = verify_all(args.degree, args.chamber, seed=args.seed)
     passed = all(r.passed for r in results)
     if args.format == "json":
@@ -345,6 +372,8 @@ def _spectral_arguments(p):
 
 
 def _verify_arguments(p):
+    from .verify import DEFAULT_SEED
+
     p.add_argument("--degree", type=int, default=12, help="degree cap for every check")
     p.add_argument("--chamber", type=int, default=2, help="largest conifold chamber index")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -398,6 +427,8 @@ def main(argv=None) -> int:
 
 
 def _print_error(exc: BaseException) -> None:
+    import json
+
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 

@@ -47,8 +47,15 @@ def mirror_map(p: CurveParams) -> CurveCoefficients:
         Q1 = fg (bd + ac) / [(dg + cf)(bg + af)]
 
     and likewise for Q2 and Q3: integer arithmetic and one Fraction per
-    coefficient. A binomial vanishes exactly when its cross sum does.
+    coefficient (_mirror_pairs). A binomial vanishes exactly when its cross
+    sum does.
     """
+    return CurveCoefficients(*(Fraction(n, d) for n, d in _mirror_pairs(p)))
+
+
+def _mirror_pairs(p: CurveParams):
+    """mirror_map's three coefficients as (numerator, denominator) integer
+    pairs, not reduced; every denominator is nonzero."""
     a, b = _ratio(p.Q)
     c, d = _ratio(p.mu)
     f, g = _ratio(p.eps2)
@@ -57,16 +64,18 @@ def mirror_map(p: CurveParams) -> CurveCoefficients:
     s_mq = b * d + a * c
     if s_me == 0 or s_qe == 0 or s_mq == 0:
         raise SingularParametersError("a mirror-map denominator vanishes")
-    return CurveCoefficients(
-        Fraction(f * g * s_mq, s_me * s_qe),
-        Fraction(c * d * s_qe, s_mq * s_me),
-        Fraction(a * b * s_me, s_qe * s_mq),
+    return (
+        (f * g * s_mq, s_me * s_qe),
+        (c * d * s_qe, s_mq * s_me),
+        (a * b * s_me, s_qe * s_mq),
     )
 
 
 def _ratio(x):
-    """Numerator and positive denominator of x in lowest terms."""
-    x = Fraction(x)
+    """Numerator and positive denominator of x in lowest terms; a Fraction
+    gives its own, anything else is made a Fraction first."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return x.numerator, x.denominator
 
 
@@ -86,19 +95,19 @@ class _EquivarianceFailure:
 def s3_equivariance_check(p: CurveParams):
     """True iff every transposition of (eps2, mu, Q) permutes (Q1, Q2, Q3)
     the same way: mu<->Q fixes Q1 and swaps Q2<->Q3, eps2<->mu swaps Q1<->Q2
-    and fixes Q3, eps2<->Q swaps Q1<->Q3 and fixes Q2."""
-    base = mirror_map(p)
+    and fixes Q3, eps2<->Q swaps Q1<->Q3 and fixes Q2. Coefficients are
+    compared as _mirror_pairs' integer pairs, n/d = m/e iff n e = m d, so no
+    coefficient is made a Fraction."""
+    q1, q2, q3 = _mirror_pairs(p)
     cases = (
-        ("mu<->Q", CurveParams(p.mu, p.Q, p.eps2),
-         CurveCoefficients(base.Q1, base.Q3, base.Q2)),
-        ("eps2<->mu", CurveParams(p.Q, p.eps2, p.mu),
-         CurveCoefficients(base.Q2, base.Q1, base.Q3)),
-        ("eps2<->Q", CurveParams(p.eps2, p.mu, p.Q),
-         CurveCoefficients(base.Q3, base.Q2, base.Q1)),
+        ("mu<->Q", CurveParams(p.mu, p.Q, p.eps2), (q1, q3, q2)),
+        ("eps2<->mu", CurveParams(p.Q, p.eps2, p.mu), (q2, q1, q3)),
+        ("eps2<->Q", CurveParams(p.eps2, p.mu, p.Q), (q3, q2, q1)),
     )
     for name, params, expected in cases:
-        if mirror_map(params) != expected:
-            return _EquivarianceFailure(name)
+        for (n, d), (m, e) in zip(_mirror_pairs(params), expected):
+            if n * e != m * d:
+                return _EquivarianceFailure(name)
     return True
 
 

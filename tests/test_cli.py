@@ -13,8 +13,10 @@ import pytest
 
 from crystalmelt import StabilizationFailureError, TruncatedSeries, verify_all
 from crystalmelt.cli import build_parser, main
-import crystalmelt.cli as cli_module
 import crystalmelt.engines as engines_module
+import crystalmelt.serialize as serialize_module
+import crystalmelt.spectral as spectral_module
+import crystalmelt.verify as verify_module
 from oracles import eager_parser, report_text, shifted_chamber_data
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -291,14 +293,14 @@ def test_sub_command_arguments_are_added_on_dispatch(capsys):
 def spy_reports(monkeypatch):
     """Record every payload the CLI hands the report writer, with its text."""
     seen = []
-    writer = cli_module.report_to_json
+    writer = serialize_module.report_to_json
 
     def recording(payload):
         text = writer(payload)
         seen.append((payload, text))
         return text
 
-    monkeypatch.setattr(cli_module, "report_to_json", recording)
+    monkeypatch.setattr(serialize_module, "report_to_json", recording)
     return seen
 
 
@@ -348,7 +350,8 @@ def test_verify_and_spectral_reports_match_the_oracle(monkeypatch, capsys):
     results = assert_reports_match_the_oracle(monkeypatch, capsys, [verify] + spectral)
     assert [code for code, _ in results] == [0] * 5
     # a counterexample in the battery, and failed trials carrying a permutation tuple
-    monkeypatch.setattr(cli_module, "verify_all", functools.partial(verify_all, fault=(6, (1,))))
+    faulty = functools.partial(verify_all, fault=(6, (1,)))
+    monkeypatch.setattr(verify_module, "verify_all", faulty)
 
     class Failed:
         permutation = (2, 0, 1)
@@ -356,7 +359,7 @@ def test_verify_and_spectral_reports_match_the_oracle(monkeypatch, capsys):
         def __bool__(self):
             return False
 
-    monkeypatch.setattr(cli_module, "s3_equivariance_check", lambda params: Failed())
+    monkeypatch.setattr(spectral_module, "s3_equivariance_check", lambda params: Failed())
     (code, battery), (s3_code, s3) = assert_reports_match_the_oracle(
         monkeypatch, capsys, [verify, spectral[1]]
     )

@@ -15,6 +15,7 @@ from crystalmelt import (
     spp_identity_squared,
     spp_limit_check,
 )
+from crystalmelt import spectral
 
 
 def test_mirror_map_hand_values():
@@ -115,3 +116,62 @@ def test_random_curve_params_are_positive_rationals():
         for v in p:
             assert isinstance(v, Fraction)
             assert 0 < v <= 40
+
+
+def fraction_s3_check(p):
+    """The equivariance check by comparing mirror_map's Fractions: the
+    transposition that breaks the symmetry, or None."""
+    base = mirror_map(p)
+    cases = (
+        ("mu<->Q", CurveParams(p.mu, p.Q, p.eps2), (base.Q1, base.Q3, base.Q2)),
+        ("eps2<->mu", CurveParams(p.Q, p.eps2, p.mu), (base.Q2, base.Q1, base.Q3)),
+        ("eps2<->Q", CurveParams(p.eps2, p.mu, p.Q), (base.Q3, base.Q2, base.Q1)),
+    )
+    for name, params, expected in cases:
+        if tuple(mirror_map(params)) != expected:
+            return name
+    return None
+
+
+def s3_verdicts(rng, count):
+    """(triple, transposition the integer check names, the one the Fraction
+    check names) per seeded non-singular triple, None where a check passes:
+    signed triples with zeros and positive ones in turn."""
+    values = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
+    out = []
+    for i in range(count):
+        if i % 2:
+            p = random_curve_params(rng)
+        else:
+            p = CurveParams(*(rng.choice(values) for _ in range(3)))
+        try:
+            expected = fraction_s3_check(p)
+        except SingularParametersError:
+            with pytest.raises(SingularParametersError):
+                s3_equivariance_check(p)
+            continue
+        res = s3_equivariance_check(p)
+        assert (res is True) == (expected is None), p
+        out.append((p, getattr(res, "permutation", None), expected))
+    return out
+
+
+def test_s3_integer_check_matches_the_fraction_check():
+    verdicts = s3_verdicts(random.Random(2028), 1000)
+    assert len(verdicts) > 900
+    assert all(got is None and expected is None for _, got, expected in verdicts)
+
+
+def test_s3_checks_both_catch_a_mutant_mirror_pairs(monkeypatch):
+    # doubling Q1 keeps mu<->Q, which fixes Q1, and breaks eps2<->mu
+    real = spectral._mirror_pairs
+
+    def doubled_q1(p):
+        (n, d), q2, q3 = real(p)
+        return (2 * n, d), q2, q3
+
+    monkeypatch.setattr(spectral, "_mirror_pairs", doubled_q1)
+    verdicts = s3_verdicts(random.Random(2029), 1000)
+    assert all(got == expected for _, got, expected in verdicts)
+    positive = [got for p, got, _ in verdicts if min(p) > 0]
+    assert len(positive) >= 500 and set(positive) == {"eps2<->mu"}
